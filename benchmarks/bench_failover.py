@@ -21,11 +21,10 @@ numbers are pinned here:
   intact -- the drill fails the bench otherwise) ride along.
 """
 
-from repro.disk import DiskDrive, DiskShape
+from repro.disk import DiskDrive, DiskShape, sweep
 from repro.fs import OnlineMaintenance, Scavenger
 from repro.net import PacketNetwork
-from repro.server import FileClient, FileServer
-from repro.server.failover import failover_drill
+from repro.server import FailoverScenario, FileClient, FileServer
 
 from paper import populated_disk, report
 
@@ -112,7 +111,7 @@ def incremental_pause_run(cylinders: int, files: int, rounds: int):
 
 def promotion_run():
     """The drill at the pinned crash point; returns its report."""
-    drill = failover_drill(seed=SEED, crash_at=CRASH_POINT)
+    drill = sweep(FailoverScenario(seed=SEED), points=[CRASH_POINT]).reports[0]
     assert drill.ok, f"failover drill failed: {drill.problems}"
     assert drill.promotion_us > 0
     return drill

@@ -7,18 +7,21 @@ around :class:`repro.os.AltoOS` -- everything it does is available as
 library calls.
 
 ``python -m repro crashtest`` instead runs the exhaustive crash-point
-sweep: the canonical workload is crashed at every sector part-write (or
-torn there, with ``--tear``), the Scavenger recovers the pack, and every
-recovery invariant is checked (see :mod:`repro.fs.check`).  With
-``--cached`` the workload runs on the write-back
-:class:`~repro.disk.cache.CachedDrive`, so crashes also land inside flush
-drains and lose whatever the cache had buffered.
+sweep (see :func:`repro.disk.faults.sweep`) over one ``--scenario``:
 
-``python -m repro failover`` runs the hot-standby failover drill (see
-:mod:`repro.server.failover`): a replicated file server is killed at
-every sector part-write mid-load, the standby is promoted by replaying
-the journal tail, and every acked write is proven to survive while
-retries stay at-most-once.
+* ``canonical`` (the default): the canonical workload is crashed at every
+  sector part-write (or torn there, with ``--tear``), the Scavenger
+  recovers the pack, and every recovery invariant is checked (see
+  :mod:`repro.fs.check`).  With ``--cached`` the workload runs on the
+  write-back :class:`~repro.disk.cache.CachedDrive`, so crashes also land
+  inside flush drains and lose whatever the cache had buffered;
+* ``rebalance``: the slot-shipping protocol is crashed at every write
+  across both packs (see :mod:`repro.server.rebalance`);
+* ``failover``: a replicated file server is killed at every sector
+  part-write mid-load, the standby is promoted by replaying the journal
+  tail, and every acked write is proven to survive while retries stay
+  at-most-once (see :mod:`repro.server.failover`; ``--no-maintain`` drops
+  the maintenance patrol).
 
 ``python -m repro bench`` runs the benchmark regression harness (see
 :mod:`repro.bench`): every ``benchmarks/bench_*.py`` measure, compared
@@ -168,12 +171,19 @@ def stats_cmd(argv) -> int:
 
 def crashtest(argv) -> int:
     """The ``crashtest`` subcommand: sweep every crash point and verify."""
-    from .fs.check import canonical_build, canonical_workload, crash_point_sweep
+    from .disk.faults import sweep
 
     parser = argparse.ArgumentParser(
         prog="python -m repro crashtest",
-        description="Exhaustive crash-consistency sweep of the canonical workload",
+        description="Exhaustive crash-consistency sweep: crash a scenario at "
+                    "every part-write and verify recovery at each point",
     )
+    parser.add_argument("--scenario", default="canonical",
+                        choices=("canonical", "rebalance", "failover"),
+                        help="what to crash: the canonical file-system "
+                             "workload, the shard-rebalancing pack-shipping "
+                             "protocol (both packs), or the replicated "
+                             "primary of the failover drill")
     parser.add_argument("--seed", type=int, default=1979,
                         help="seed for pack contents, workload, and torn-write garbage")
     parser.add_argument("--cylinders", type=int, default=20,
@@ -184,10 +194,9 @@ def crashtest(argv) -> int:
     parser.add_argument("--cached", action="store_true",
                         help="run the workload on the write-back CachedDrive, so "
                              "crashes also hit flush drains and buffered data is lost")
-    parser.add_argument("--rebalance", action="store_true",
-                        help="sweep the shard-rebalancing pack-shipping protocol "
-                             "instead: crash at every write across BOTH packs and "
-                             "verify the moving names survive on exactly one shard")
+    parser.add_argument("--no-maintain", action="store_true",
+                        help="failover only: run without the continuous "
+                             "incremental scavenge patrol on the primary")
     parser.add_argument("--points", metavar="N[,N...]",
                         help="sweep only these crash points (default: all)")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -197,6 +206,10 @@ def crashtest(argv) -> int:
                              "write one merged Chrome trace JSON")
     args = parser.parse_args(argv)
 
+    if args.scenario == "failover" and (args.tear or args.cached):
+        parser.error("--tear and --cached do not apply to --scenario failover")
+    if args.scenario != "failover" and args.no_maintain:
+        parser.error("--no-maintain applies only to --scenario failover")
     points = None
     if args.points:
         try:
@@ -204,44 +217,32 @@ def crashtest(argv) -> int:
         except ValueError:
             parser.error(f"--points expects integers, got {args.points!r}")
 
-    def narrate(report):
-        status = "ok" if report.ok else "FAIL"
-        print(f"  {'tear' if args.tear else 'crash'}@{report.crash_point}: {status}"
-              f"  ({report.crash_reason})")
-
-    make_drive = None
-    if args.cached:
-        from .disk import CachedDrive
-
-        make_drive = lambda image, plan: CachedDrive(image, fault_injector=plan)
-
     if args.trace:
         from .obs import runtime as obs_runtime
 
         obs_runtime.enable_trace_all()
-    try:
-        if args.rebalance:
-            from .server.rebalance import rebalance_crash_sweep
+    if args.scenario == "failover":
+        from .server.failover import FailoverScenario
 
-            result = rebalance_crash_sweep(
-                seed=args.seed,
-                cylinders=args.cylinders,
-                tear=args.tear,
-                points=points,
-                on_point=narrate if args.verbose else None,
-                cached=args.cached,
-            )
-        else:
-            result = crash_point_sweep(
-                canonical_build(args.seed, cylinders=args.cylinders),
-                canonical_workload(args.seed),
-                seed=args.seed,
-                points=points,
-                tear=args.tear,
-                on_point=narrate if args.verbose else None,
-                make_drive=make_drive,
-            )
-    except ValueError as exc:  # e.g. a crash point outside 1..total
+        scenario = FailoverScenario(args.seed, args.cylinders,
+                                    maintain=not args.no_maintain)
+    elif args.scenario == "rebalance":
+        from .server.rebalance import ShippingScenario
+
+        scenario = ShippingScenario(args.seed, args.cylinders, args.cached)
+    else:
+        from .fs.check import canonical_scenario
+
+        scenario = canonical_scenario(args.seed, args.cylinders, args.cached)
+
+    def narrate(report):
+        print(f"  {report}  ({report.crash_reason})")
+
+    try:
+        result = sweep(scenario, points=points, tear=args.tear,
+                       on_point=narrate if args.verbose else None)
+    except (ValueError, RuntimeError) as exc:
+        # A crash point outside 1..total, or a clean run that fails.
         parser.error(str(exc))
     if args.trace:
         import json as _json
@@ -257,10 +258,12 @@ def crashtest(argv) -> int:
     for failure in result.failures:
         print(f"FAIL {failure}")
     if result.failures:
-        print(f"replay one point with: python -m repro crashtest --seed {args.seed}"
-              f"{' --tear' if args.tear else ''}{' --cached' if args.cached else ''}"
-              f"{' --rebalance' if args.rebalance else ''}"
-              f" --points <N> -v")
+        flags = [flag for flag, on in (("--tear", args.tear),
+                                       ("--cached", args.cached),
+                                       ("--no-maintain", args.no_maintain)) if on]
+        print(f"replay one point with: python -m repro crashtest "
+              f"--scenario {args.scenario} --seed {args.seed} "
+              f"{' '.join(flags + ['--points <N> -v'])}")
     return 0 if result.ok else 1
 
 
@@ -371,73 +374,6 @@ def serve_cmd(argv) -> int:
     return 0
 
 
-def failover_cmd(argv) -> int:
-    """The ``failover`` subcommand: crash-point-swept zero-loss failover drill."""
-    from .server.failover import failover_crash_sweep, failover_drill
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro failover",
-        description="Hot-standby failover drill: kill the replicated primary at "
-                    "every part-write, promote the standby by replaying the "
-                    "journal tail, and prove no acked write was lost and "
-                    "retries stay at-most-once",
-    )
-    parser.add_argument("--seed", type=int, default=1979,
-                        help="seed for pack contents, workload, and seeded wear")
-    parser.add_argument("--cylinders", type=int, default=20,
-                        help="size of the test pack (tiny_test_disk cylinders)")
-    parser.add_argument("--points", metavar="N[,N...]",
-                        help="sweep only these crash points (default: all)")
-    parser.add_argument("--no-maintain", action="store_true",
-                        help="run without the continuous incremental scavenge "
-                             "patrol on the primary")
-    parser.add_argument("--drill-only", action="store_true",
-                        help="run one clean (no-crash) drill and exit instead "
-                             "of sweeping crash points")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="print every crash point as it is checked")
-    args = parser.parse_args(argv)
-
-    points = None
-    if args.points:
-        try:
-            points = [int(p) for p in args.points.split(",")]
-        except ValueError:
-            parser.error(f"--points expects integers, got {args.points!r}")
-
-    maintain = not args.no_maintain
-    if args.drill_only:
-        report = failover_drill(seed=args.seed, cylinders=args.cylinders,
-                                maintain=maintain)
-        print(report)
-        for problem in report.problems:
-            print(f"FAIL {problem}")
-        return 0 if report.ok else 1
-
-    def narrate(report):
-        print(f"  {report}")
-
-    try:
-        result = failover_crash_sweep(
-            seed=args.seed,
-            cylinders=args.cylinders,
-            points=points,
-            maintain=maintain,
-            on_point=narrate if args.verbose else None,
-        )
-    except (ValueError, RuntimeError) as exc:
-        parser.error(str(exc))
-    print(result.summary())
-    for failure in result.failures:
-        print(f"FAIL {failure}")
-        for problem in failure.problems:
-            print(f"     {problem}")
-    if result.failures:
-        print(f"replay one point with: python -m repro failover "
-              f"--seed {args.seed} --points <N> -v")
-    return 0 if result.ok else 1
-
-
 def top_cmd(argv) -> int:
     """The ``top`` subcommand: live latency dashboard over a serve run."""
     from .obs.top import TopDashboard
@@ -495,8 +431,6 @@ def main(argv=None) -> int:
         return stats_cmd(argv[1:])
     if argv and argv[0] == "top":
         return top_cmd(argv[1:])
-    if argv and argv[0] == "failover":
-        return failover_cmd(argv[1:])
     if argv and argv[0] == "bench":
         from .bench import main as bench_main
 

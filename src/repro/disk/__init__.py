@@ -9,7 +9,15 @@ timing model calibrated to the Diablo Model 31.
 
 from .cache import CACHE_HIT_US, DEFAULT_CACHE_SECTORS, CachedDrive, CacheStats
 from .drive import MAX_READ_RETRIES, Action, DiskDrive, PartCommand, TransferResult
-from .faults import FaultInjector, FaultPlan
+from .faults import (
+    CrashReport,
+    CrashScenario,
+    FaultInjector,
+    FaultPlan,
+    SweepResult,
+    count_writes,
+    sweep,
+)
 from .geometry import NIL, DiskShape, diablo31, diablo44, tiny_test_disk
 from .image import DiskImage
 from .sector import (
@@ -47,6 +55,9 @@ __all__ = [
     "TRACE_POINTS",
     "FaultInjector",
     "FaultPlan",
+    "CrashReport",
+    "CrashScenario",
+    "SweepResult",
     "HEADER_WORDS",
     "MAX_READ_RETRIES",
     "Header",
@@ -63,9 +74,11 @@ __all__ = [
     "TransferResult",
     "VALUE_WORDS",
     "check_point",
+    "count_writes",
     "diablo31",
     "diablo44",
     "point_name",
+    "sweep",
     "tiny_test_disk",
     "value_words",
 ]

@@ -9,13 +9,18 @@ decay -- corruption that no software action caused).
 
 All randomized behaviour goes through an explicitly seeded ``random.Random``
 so every campaign is reproducible.
+
+:func:`sweep` is the one crash-point sweep driver: it counts a
+:class:`CrashScenario`'s part-writes (the coordinate system ``FaultPlan``
+defines), then replays the scenario with a clean crash or a torn write at
+every one of them and collects the scenario's verdict for each.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import PowerFailure, TornWriteError, TransientReadError
 from ..words import WORD_MASK
@@ -211,14 +216,18 @@ class FaultPlan(FaultInjector):
     drive operation raises :class:`~repro.errors.PowerFailure` until
     :meth:`revive` -- recovery code must run on a fresh drive (or revive
     first), exactly like a real reboot.
+
+    Plans built on one shared :class:`WriteCount` number their writes in
+    one global order, so a run spanning several packs has one set of
+    crash points: write N fires on whichever pack performs it.
     """
 
-    def __init__(self, image: DiskImage, seed: int = 1979) -> None:
+    def __init__(self, image: DiskImage, seed: int = 1979,
+                 writes: Optional["WriteCount"] = None) -> None:
         super().__init__(image, seed)
         self.crashed = False
         self.crash_reason: Optional[str] = None
-        #: Part-writes seen so far (the crash-point coordinate system).
-        self.writes_seen = 0
+        self.writes = writes if writes is not None else WriteCount()
         #: Read/check part attempts seen so far (includes drive retries).
         self.reads_seen = 0
         self._crash_at_write: Optional[int] = None
@@ -228,6 +237,11 @@ class FaultPlan(FaultInjector):
         self._tear_label_value: Optional[int] = None  # remaining occurrences
         self._crash_before_value = False  # armed for the current command
         self._transient: List[_TransientReads] = []
+
+    @property
+    def writes_seen(self) -> int:
+        """Part-writes seen so far (the crash-point coordinate system)."""
+        return self.writes.seen
 
     # ------------------------------------------------------------------------
     # Scheduling
@@ -351,7 +365,7 @@ class FaultPlan(FaultInjector):
                 self._crash(
                     f"power failed between label and value writes at address {address}"
                 )
-            self.writes_seen += 1
+            self.writes.seen += 1
             if self._crash_at_write is not None and self.writes_seen >= self._crash_at_write:
                 self._crash_at_write = None
                 self._crash(
@@ -430,3 +444,158 @@ class FaultPlan(FaultInjector):
         self.crashed = True
         self.crash_reason = reason
         raise PowerFailure(reason, crash_point=self.writes_seen)
+
+
+# ----------------------------------------------------------------------------
+# The crash-point sweep driver
+# ----------------------------------------------------------------------------
+
+
+class WriteCount:
+    """A part-write tally shared by one or more :class:`FaultPlan` objects."""
+
+    __slots__ = ("seen",)
+
+    def __init__(self) -> None:
+        self.seen = 0
+
+
+#: How a scenario gets the plan for each drive it crashes: ``plan(image,
+#: seed)``; *seed* draws that pack's torn-write garbage.  ``FaultPlan``
+#: itself qualifies, for running a scenario outside a sweep.
+PlanFactory = Callable[[DiskImage, int], FaultPlan]
+
+
+@dataclass
+class CrashReport:
+    """One crash point's verdict; scenarios subclass it for their extras."""
+
+    crash_point: int = -1
+    crash_reason: str = ""
+    problems: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
+
+    def note(self, problem: str) -> None:
+        self.problems.append(problem)
+
+    def __str__(self) -> str:
+        return f"crash@{self.crash_point}: {self.status()}"
+
+    def status(self) -> str:
+        return "ok" if self.ok else "; ".join(self.problems)
+
+
+class CrashScenario:
+    """What a sweep crashes: a workload from a fixed baseline, and its check.
+
+    :meth:`run` resets to the baseline and runs the workload, attaching
+    ``plan(image, seed)`` to every drive whose part-writes are crash
+    points; :meth:`verify` recovers whatever :meth:`run` left behind and
+    returns a :class:`CrashReport`.  Scenarios keep between the two calls
+    whatever state verifying needs.
+    """
+
+    def run(self, plan: PlanFactory) -> None:
+        raise NotImplementedError
+
+    def verify(self, crash_point: int, crash_reason: str) -> CrashReport:
+        raise NotImplementedError
+
+    def summary(self, result: "SweepResult") -> str:
+        verdict = "all recovered" if result.ok else f"{len(result.failures)} FAILED"
+        return (f"{result.points_tested}/{result.total_writes} crash points "
+                f"swept: {verdict}")
+
+
+@dataclass
+class SweepResult:
+    """Outcome of one sweep: a report per crash point tested."""
+
+    scenario: CrashScenario
+    total_writes: int
+    reports: List[CrashReport] = field(default_factory=list)
+
+    @property
+    def points_tested(self) -> int:
+        return len(self.reports)
+
+    @property
+    def failures(self) -> List[CrashReport]:
+        return [r for r in self.reports if not r.ok]
+
+    @property
+    def ok(self) -> bool:
+        return self.points_tested > 0 and not self.failures
+
+    def summary(self) -> str:
+        return self.scenario.summary(self)
+
+
+def count_writes(scenario: CrashScenario) -> int:
+    """Pass 1: run *scenario* clean, verify it, and count its part-writes.
+
+    Only :meth:`~CrashScenario.run`'s writes are crash points; whatever
+    :meth:`~CrashScenario.verify` writes afterwards (a read-back, a patrol)
+    is not counted.  A clean run that fails its own check raises
+    ``RuntimeError``: crashing it would prove nothing.
+    """
+    writes = WriteCount()
+    scenario.run(lambda image, seed: FaultPlan(image, seed, writes))
+    total = writes.seen
+    clean = scenario.verify(0, "")
+    if not clean.ok:
+        raise RuntimeError(f"clean run failed: {clean.status()}")
+    return total
+
+
+def sweep(
+    scenario: CrashScenario,
+    points: Optional[Sequence[int]] = None,
+    tear: bool = False,
+    on_point: Optional[Callable[[CrashReport], None]] = None,
+) -> SweepResult:
+    """Crash *scenario* at every part-write (or at *points*) and verify each.
+
+    After :func:`count_writes`, each point N replays the scenario with a
+    clean power failure in place of write N (with *tear*, write N lands
+    torn), then collects :meth:`~CrashScenario.verify`'s report, passing
+    it to *on_point* as it goes.  Points are 1-based, as
+    :meth:`FaultPlan.crash_at_write` counts; one outside ``1..total``
+    raises ``ValueError`` before anything is replayed.  Deterministic
+    given the scenario's seed.
+    """
+    total = count_writes(scenario)
+    chosen = list(points) if points is not None else list(range(1, total + 1))
+    for n in chosen:
+        if not 1 <= n <= total:
+            raise ValueError(f"crash point {n} outside 1..{total}")
+    result = SweepResult(scenario, total)
+    for n in chosen:
+        writes = WriteCount()
+        reason = ""
+        try:
+            scenario.run(_armed(writes, n, tear))
+        except PowerFailure as exc:
+            reason = str(exc)
+        report = scenario.verify(n, reason)
+        if not reason:
+            report.note(f"fault at write {n} never fired "
+                        f"({writes.seen} writes seen)")
+        result.reports.append(report)
+        if on_point is not None:
+            on_point(report)
+    return result
+
+
+def _armed(writes: WriteCount, n: int, tear: bool) -> PlanFactory:
+    """Plans sharing *writes*, each set to crash (or tear) global write *n*."""
+
+    def plan(image: DiskImage, seed: int) -> FaultPlan:
+        armed = FaultPlan(image, seed, writes)
+        (armed.tear_at_write if tear else armed.crash_at_write)(n)
+        return armed
+
+    return plan

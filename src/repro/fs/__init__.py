@@ -5,11 +5,11 @@ from .allocator import PageAllocator
 from .check import (
     Change,
     RecoveryReport,
-    SweepResult,
+    WorkloadScenario,
     canonical_build,
+    canonical_scenario,
     canonical_workload,
     check_recovery,
-    crash_point_sweep,
     prefix_consistent,
     snapshot_files,
 )
@@ -86,16 +86,16 @@ __all__ = [
     "SERIAL_LEASE",
     "ScavengeReport",
     "Scavenger",
-    "SweepResult",
     "SweptPage",
+    "WorkloadScenario",
     "canonical_build",
+    "canonical_scenario",
     "canonical_workload",
     "check_image",
     "check_recovery",
     "compact",
     "copy_all_files",
     "copy_file",
-    "crash_point_sweep",
     "duplicate_pack",
     "make_serial",
     "page_number_from_label",

@@ -19,24 +19,25 @@ invariants: after an injected crash (see :class:`~repro.disk.faults.FaultPlan`),
   a *prefix-consistent* state: page-wise, a prefix of the new contents
   followed by a suffix of the old (or a page-boundary truncation of either).
 
-:func:`crash_point_sweep` is the exhaustive engine on top: run a workload
-once to count its part-writes, then replay it once per write with a clean
-crash (or torn write) injected there, checking recovery after every crash.
+:class:`WorkloadScenario` hands a workload and this check to the sweep
+driver (:func:`~repro.disk.faults.sweep`), which crashes the workload at
+every part-write and checks recovery after each crash.
 ``python -m repro crashtest`` and the ``crash_sweeper`` pytest fixture both
-drive this function.
+sweep :func:`canonical_scenario`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from ..disk.cache import CachedDrive
 from ..disk.drive import DiskDrive
-from ..disk.faults import FaultPlan
+from ..disk.faults import CrashReport, CrashScenario, PlanFactory
 from ..disk.geometry import tiny_test_disk
 from ..disk.image import DiskImage
-from ..errors import PowerFailure, ReproError
+from ..errors import ReproError
 from ..words import PAGE_DATA_BYTES, random_bytes
 from .descriptor import BOOT_PAGE_ADDRESS, DESCRIPTOR_NAME
 from .filesystem import FileSystem, ROOT_DIRECTORY_NAME
@@ -86,29 +87,18 @@ def snapshot_files(fs: FileSystem) -> Dict[str, bytes]:
 
 
 @dataclass
-class RecoveryReport:
+class RecoveryReport(CrashReport):
     """Everything one post-crash recovery check found."""
 
-    crash_point: int = -1
-    crash_reason: str = ""
     scavenge: Optional[ScavengeReport] = None
-    problems: List[str] = field(default_factory=list)
     files_verified: int = 0
     files_in_flight: int = 0
     fsck_issues: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def note(self, problem: str) -> None:
-        self.problems.append(problem)
-
     def __str__(self) -> str:
-        status = "ok" if self.ok else "; ".join(self.problems)
         return (
             f"crash@{self.crash_point}: {self.files_verified} verified, "
-            f"{self.files_in_flight} in-flight -- {status}"
+            f"{self.files_in_flight} in-flight -- {self.status()}"
         )
 
 
@@ -255,99 +245,48 @@ def _find_surviving(recovered: Dict[str, bytes], aliases: Sequence[str]) -> Opti
 
 
 # ----------------------------------------------------------------------------
-# The exhaustive crash-point sweep
+# The crash scenario
 # ----------------------------------------------------------------------------
 
 
-@dataclass
-class SweepResult:
-    """Outcome of a full crash-point sweep."""
-
-    total_writes: int = 0
-    points_tested: int = 0
-    reports: List[RecoveryReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[RecoveryReport]:
-        return [r for r in self.reports if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return self.points_tested > 0 and not self.failures
-
-    def summary(self) -> str:
-        verdict = "all recovered" if self.ok else f"{len(self.failures)} FAILED"
-        return (
-            f"{self.points_tested}/{self.total_writes} crash points swept: {verdict}"
-        )
-
-
-def crash_point_sweep(
-    build: Callable[[], Tuple[DiskImage, FileSystem]],
-    workload: Callable[[FileSystem], Dict[str, Change]],
-    seed: int = 1979,
-    points: Optional[Sequence[int]] = None,
-    tear: bool = False,
-    on_point: Optional[Callable[[RecoveryReport], None]] = None,
-    make_drive: Optional[Callable[[DiskImage, FaultPlan], DiskDrive]] = None,
-) -> SweepResult:
-    """Crash the workload at every part-write and verify recovery each time.
+class WorkloadScenario(CrashScenario):
+    """A workload on one pack, checked by :func:`check_recovery`.
 
     *build* creates a deterministic populated pack; *workload* mutates it
     and returns the :class:`Change` set it performed (what it *would* have
-    done, had it completed).  The sweep first runs the workload uninjured to
-    count part-writes, then replays it from an image snapshot once per
-    crash point -- write N with a clean power failure (or, with ``tear``, a
-    torn write) injected there -- and runs :func:`check_recovery` on the
-    wreckage.  Deterministic given (*build*, *workload*, *seed*).
+    done, had it completed -- the clean counting run records it).  Every
+    run restarts from a snapshot of the built pack.
 
-    *make_drive* builds the drive the workload runs on (default: a plain
-    :class:`DiskDrive`).  Passing a :class:`~repro.disk.cache.CachedDrive`
-    factory sweeps the same workload with write-back caching in play --
-    crash points then fall inside flush drains too, and any buffered data
-    alive at the crash is lost exactly as a real power failure would lose
-    it.  Recovery always runs on a fresh uncached drive: the platter is all
-    that survives.
+    With *cached* the workload runs on the write-back
+    :class:`~repro.disk.cache.CachedDrive`: crash points then fall inside
+    flush drains too, and any buffered data alive at the crash is lost
+    exactly as a real power failure would lose it.  Recovery always runs
+    on a fresh uncached drive: the platter is all that survives.
     """
-    if make_drive is None:
-        make_drive = lambda img, plan: DiskDrive(img, fault_injector=plan)
-    image, fs = build()
-    baseline = image.snapshot()
-    before = snapshot_files(fs)
 
-    # Pass 1: count part-writes over the same mount-then-run path the
-    # replays take (no faults scheduled), so crash points line up exactly.
-    plan = FaultPlan(image, seed=seed)
-    changes = workload(FileSystem.mount(make_drive(image, plan)))
-    total = plan.writes_seen
+    def __init__(
+        self,
+        build: Callable[[], Tuple[DiskImage, FileSystem]],
+        workload: Callable[[FileSystem], Dict[str, Change]],
+        seed: int = 1979,
+        cached: bool = False,
+    ) -> None:
+        self.image, fs = build()
+        self.baseline = self.image.snapshot()
+        self.before = snapshot_files(fs)
+        self.workload = workload
+        self.seed = seed
+        self.drive = CachedDrive if cached else DiskDrive
+        self.changes: Dict[str, Change] = {}
 
-    result = SweepResult(total_writes=total)
-    chosen = list(points) if points is not None else list(range(1, total + 1))
-    for n in chosen:
-        if not 1 <= n <= total:
-            raise ValueError(f"crash point {n} outside 1..{total}")
-        image.restore(baseline)
-        plan = FaultPlan(image, seed=seed)
-        if tear:
-            plan.tear_at_write(n)
-        else:
-            plan.crash_at_write(n)
-        drive = make_drive(image, plan)
-        reason = ""
-        try:
-            workload(FileSystem.mount(drive))
-        except PowerFailure as exc:
-            reason = str(exc)
-        report = check_recovery(
-            image, before, changes, crash_point=n, crash_reason=reason
-        )
-        if not reason:
-            report.note(f"fault at write {n} never fired ({plan.writes_seen} writes seen)")
-        result.reports.append(report)
-        result.points_tested += 1
-        if on_point is not None:
-            on_point(report)
-    return result
+    def run(self, plan: PlanFactory) -> None:
+        self.image.restore(self.baseline)
+        drive = self.drive(self.image, fault_injector=plan(self.image, self.seed))
+        self.changes = self.workload(FileSystem.mount(drive))
+
+    def verify(self, crash_point: int, crash_reason: str) -> RecoveryReport:
+        return check_recovery(self.image, self.before, self.changes,
+                              crash_point=crash_point, crash_reason=crash_reason)
 
 
 # ----------------------------------------------------------------------------
@@ -401,3 +340,10 @@ def canonical_workload(seed: int = 1979):
         return changes
 
     return workload
+
+
+def canonical_scenario(seed: int = 1979, cylinders: int = 20,
+                       cached: bool = False) -> WorkloadScenario:
+    """The canonical workload on its canonical pack, ready to sweep."""
+    return WorkloadScenario(canonical_build(seed, cylinders),
+                            canonical_workload(seed), seed, cached)

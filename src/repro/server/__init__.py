@@ -77,9 +77,7 @@ from .protocol import (
 )
 from .failover import (
     FailoverReport,
-    FailoverSweepResult,
-    failover_crash_sweep,
-    failover_drill,
+    FailoverScenario,
 )
 from .rebalance import Shipment, recover_shipment, ship_names
 from .replica import (
@@ -102,7 +100,7 @@ __all__ = [
     "EventQueue",
     "FLAG_CREATE",
     "FailoverReport",
-    "FailoverSweepResult",
+    "FailoverScenario",
     "FileClient",
     "FileServer",
     "FrameAssembler",
@@ -146,8 +144,6 @@ __all__ = [
     "build_system",
     "encode_request",
     "encode_response",
-    "failover_crash_sweep",
-    "failover_drill",
     "hash_name",
     "merge_names",
     "promote",

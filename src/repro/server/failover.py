@@ -5,10 +5,10 @@ primary crash at *any* instant loses no acknowledged write, and no
 request is ever executed twice on the surviving service.  This module
 proves it the way the repo proves every durability claim -- by crashing
 at **every** part-write the primary performs and checking the invariants
-at each point (``python -m repro failover``; compare the scavenger's
-``crashtest`` and the rebalance sweep).
+at each point (``python -m repro crashtest --scenario failover``, the same
+sweep driver as the canonical workload and the rebalance protocol).
 
-One drill (:func:`failover_drill`) builds a deterministic lab:
+One drill (:class:`FailoverScenario`) builds a deterministic lab:
 
 * a primary :class:`~repro.server.replica.ReplicatedFileServer` behind a
   :class:`~repro.server.router.ShardRouter`, with incremental
@@ -20,9 +20,10 @@ One drill (:func:`failover_drill`) builds a deterministic lab:
   recording each page only once its ``ST_OK`` arrives -- the *acked set*,
   the drill's ground truth.
 
-A :class:`~repro.disk.faults.FaultPlan` kills the primary's drive at the
-chosen part-write.  The drill then promotes the standby (replaying the
-journal tail queued on the link), swaps it into the router, and checks:
+The sweep driver (:func:`~repro.disk.faults.sweep`) kills the primary's
+drive at the chosen part-write of the bootstrap and upload.  The drill then
+promotes the standby (replaying the journal tail queued on the link),
+swaps it into the router, and checks:
 
 1. **Zero acknowledged loss** -- every page in the acked set is on the
    promoted pack, byte for byte.
@@ -35,22 +36,23 @@ journal tail queued on the link), swaps it into the router, and checks:
    of every file matches, with the promoted pack passing
    :func:`~repro.fs.fsck.check_image`.
 
-:func:`failover_crash_sweep` runs the drill at every crash point (pass 1
-counts the writes, pass 2 replays each point from a fresh lab -- the
-same two-pass pattern as :func:`~repro.server.rebalance.rebalance_crash_sweep`).
+The driver's counting pass is the clean drill: the whole workload runs
+with maintenance slices interleaved and replication gating every
+response, then the read-back and pack check run too.  Only the bootstrap
+and upload writes are crash points; the read-back's patrol writes are not.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..disk.drive import DiskDrive
-from ..disk.faults import FaultPlan
+from ..disk.faults import CrashReport, CrashScenario, PlanFactory
 from ..disk.geometry import tiny_test_disk
 from ..disk.image import DiskImage
-from ..errors import PowerFailure, RequestFailed
+from ..errors import RequestFailed
 from ..fs.file import FULL_PAGE
 from ..fs.filesystem import FileSystem
 from ..fs.fsck import check_image
@@ -89,55 +91,18 @@ SEEDED_GARBAGE_LABELS = 10
 # ----------------------------------------------------------------------------
 
 @dataclass
-class FailoverReport:
+class FailoverReport(CrashReport):
     """One crash point's failover verdict."""
 
-    crash_point: int
-    crash_reason: str = ""
     acked_pages: int = 0         #: pages acknowledged before the crash
     tail_records: int = 0        #: journal records replayed at promotion
     promotion_us: int = 0        #: simulated promotion time
     replay_probe: bool = False   #: retry answered from the replay cache
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def note(self, problem: str) -> None:
-        self.problems.append(problem)
 
     def __str__(self) -> str:
-        status = "ok" if self.ok else "; ".join(self.problems)
         return (f"crash@{self.crash_point} acked={self.acked_pages} "
                 f"tail={self.tail_records} "
-                f"promotion={self.promotion_us / 1000:.1f}ms: {status}")
-
-
-@dataclass
-class FailoverSweepResult:
-    """Outcome of the whole failover crash sweep."""
-
-    total_writes: int = 0
-    points_tested: int = 0
-    reports: List[FailoverReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[FailoverReport]:
-        return [r for r in self.reports if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return self.points_tested > 0 and not self.failures
-
-    def summary(self) -> str:
-        verdict = ("zero acked writes lost" if self.ok
-                   else f"{len(self.failures)} FAILED")
-        fired = sum(1 for r in self.reports if r.crash_reason)
-        worst = max((r.promotion_us for r in self.reports), default=0)
-        return (f"{self.points_tested}/{self.total_writes} failover crash "
-                f"points swept ({fired} fired): {verdict}; worst promotion "
-                f"{worst / 1000:.1f}ms")
+                f"promotion={self.promotion_us / 1000:.1f}ms: {self.status()}")
 
 
 # ----------------------------------------------------------------------------
@@ -147,8 +112,8 @@ class FailoverSweepResult:
 class _Lab:
     """One deterministic failover lab: cluster, standby, client, workload."""
 
-    def __init__(self, seed: int, cylinders: int, maintain: bool) -> None:
-        self.seed = seed
+    def __init__(self, seed: int, cylinders: int, maintain: bool,
+                 plan: PlanFactory) -> None:
         self.maintain = maintain
         shape = tiny_test_disk(cylinders=cylinders)
         self.image = DiskImage(shape)
@@ -156,8 +121,7 @@ class _Lab:
         # cover only the served workload, not pack setup.
         FileSystem.format(DiskDrive(self.image))
         self._seed_wear(seed)
-        self.plan = FaultPlan(self.image, seed=seed)
-        drive = DiskDrive(self.image, fault_injector=self.plan)
+        drive = DiskDrive(self.image, fault_injector=plan(self.image, seed))
         fs = FileSystem.mount(drive)
         self.network = PacketNetwork()
         self.network.attach(PRIMARY_HOST, clock=drive.clock)
@@ -256,71 +220,73 @@ def _await(client: FileClient, pending: PendingRequest):
 # The drill
 # ----------------------------------------------------------------------------
 
-def failover_drill(
-    seed: int = 1979,
-    cylinders: int = 20,
-    crash_at: Optional[int] = None,
-    maintain: bool = True,
-) -> FailoverReport:
-    """Run one drill; crash the primary at part-write *crash_at* (None: never).
+class FailoverScenario(CrashScenario):
+    """The drill as a crash scenario: upload, crash, promote, verify.
 
-    Returns a :class:`FailoverReport`; ``report.ok`` is the verdict.  With
-    no crash scheduled the drill is the always-on smoke test: the full
-    workload runs with maintenance slices interleaved and replication
-    gating every response, then the read-back and pack check still run.
+    :meth:`run` builds a fresh lab and uploads the workload, recording
+    each page once its ``ST_OK`` arrives; :meth:`verify` promotes the
+    standby if the primary died, proves the invariants, resumes the
+    workload, and checks the read-back and the serving pack.  With
+    *maintain* off the primary runs without the maintenance patrol.
     """
-    lab = _Lab(seed, cylinders, maintain)
-    if crash_at is not None:
-        lab.plan.crash_at_write(crash_at)
-    report = FailoverReport(crash_point=crash_at or 0)
-    client = lab.client
-    acked: Dict[Tuple[str, int], bytes] = {}
-    done: Set[str] = set()
-    probe: Optional[PendingRequest] = None
 
-    crashed = False
-    progress = 0
-    try:
+    def __init__(self, seed: int = 1979, cylinders: int = 20,
+                 maintain: bool = True) -> None:
+        self.seed = seed
+        self.cylinders = cylinders
+        self.maintain = maintain
+
+    def run(self, plan: PlanFactory) -> None:
+        self.lab = lab = _Lab(self.seed, self.cylinders, self.maintain, plan)
+        self.acked: Dict[Tuple[str, int], bytes] = {}
+        self.probe: Optional[PendingRequest] = None
+        self.progress = 0
+        client = lab.client
         lab.primary.replication.bootstrap()
         for name, data in lab.files:
             handle, _ = client.open(name, create=True)
             for page, chunk in _page_chunks(data):
-                request = client.build_write(handle, page, chunk)
-                pending = client.submit(request)
+                pending = client.submit(client.build_write(handle, page, chunk))
                 _await(client, pending)
-                acked[(name, page)] = chunk
-                probe = pending
+                self.acked[(name, page)] = chunk
+                self.probe = pending
             client.close(handle)
-            done.add(name)
-            progress += 1
-    except PowerFailure as exc:
-        crashed = True
-        report.crash_reason = str(exc)
-    report.acked_pages = len(acked)
+            self.progress += 1
 
-    if crashed:
-        replayed_before = lab.router.stats().get("router.replayed", 0)
-        promo = promote(lab.standby)
-        lab.router.promote_shard(0, promo.server)
-        if lab.maintain:
-            promo.server.maintenance = OnlineMaintenance(promo.server.fs)
-        lab.promoted = True
-        report.tail_records = promo.tail_records
-        report.promotion_us = promo.elapsed_us
-        _verify_acked(promo.server.fs, acked, report)
-        if probe is not None:
-            _probe_replay(lab, probe, replayed_before, report)
-        # Resume: rewrite the interrupted file from page one (absolute
-        # page writes make re-execution of unacknowledged work safe),
-        # then finish the remaining files.
-        for name, data in lab.files[progress:]:
-            _upload(client, name, data)
-    elif crash_at is not None:
-        report.note(f"crash at part-write {crash_at} never fired")
+    def verify(self, crash_point: int, crash_reason: str) -> FailoverReport:
+        lab = self.lab
+        report = FailoverReport(crash_point=crash_point,
+                                crash_reason=crash_reason,
+                                acked_pages=len(self.acked))
+        if crash_reason:
+            replayed_before = lab.router.stats().get("router.replayed", 0)
+            promo = promote(lab.standby)
+            lab.router.promote_shard(0, promo.server)
+            if lab.maintain:
+                promo.server.maintenance = OnlineMaintenance(promo.server.fs)
+            lab.promoted = True
+            report.tail_records = promo.tail_records
+            report.promotion_us = promo.elapsed_us
+            _verify_acked(promo.server.fs, self.acked, report)
+            if self.probe is not None:
+                _probe_replay(lab, self.probe, replayed_before, report)
+            # Resume: rewrite the interrupted file from page one (absolute
+            # page writes make re-execution of unacknowledged work safe),
+            # then finish the remaining files.
+            for name, data in lab.files[self.progress:]:
+                _upload(lab.client, name, data)
+        _verify_readback(lab, report)
+        _verify_pack(lab, report)
+        return report
 
-    _verify_readback(lab, report)
-    _verify_pack(lab, report)
-    return report
+    def summary(self, result) -> str:
+        verdict = ("zero acked writes lost" if result.ok
+                   else f"{len(result.failures)} FAILED")
+        fired = sum(1 for r in result.reports if r.crash_reason)
+        worst = max((r.promotion_us for r in result.reports), default=0)
+        return (f"{result.points_tested}/{result.total_writes} failover crash "
+                f"points swept ({fired} fired): {verdict}; worst promotion "
+                f"{worst / 1000:.1f}ms")
 
 
 def _upload(client: FileClient, name: str, data: bytes) -> None:
@@ -399,52 +365,3 @@ def _verify_pack(lab: _Lab, report: FailoverReport) -> None:
         if issue.kind not in _TOLERATED:
             report.note(f"pack check: {issue.kind} at {issue.address} "
                         f"({issue.detail})")
-
-
-# ----------------------------------------------------------------------------
-# The sweep
-# ----------------------------------------------------------------------------
-
-def failover_crash_sweep(
-    seed: int = 1979,
-    cylinders: int = 20,
-    points: Optional[Sequence[int]] = None,
-    maintain: bool = True,
-    on_point: Optional[Callable[[FailoverReport], None]] = None,
-) -> FailoverSweepResult:
-    """Crash the primary at every part-write of the drill; verify each.
-
-    Pass 1 runs the drill clean to count the primary's part-writes; pass
-    2 replays the drill from a fresh lab per point with the crash
-    scheduled there.  *points* restricts the sweep (1-based, as
-    ``FaultPlan.crash_at_write`` counts).
-    """
-    clean = failover_drill(seed, cylinders, crash_at=None, maintain=maintain)
-    if not clean.ok:
-        raise RuntimeError(f"clean drill failed: {'; '.join(clean.problems)}")
-    # The clean pass's lab is gone; count writes with a probe lab run the
-    # same way.  FaultPlan counts every part-write it sees.
-    probe_lab_writes = _count_writes(seed, cylinders, maintain)
-    result = FailoverSweepResult(total_writes=probe_lab_writes)
-    chosen = (list(points) if points is not None
-              else list(range(1, probe_lab_writes + 1)))
-    for n in chosen:
-        if not 1 <= n <= probe_lab_writes:
-            raise ValueError(
-                f"crash point {n} outside 1..{probe_lab_writes}")
-        report = failover_drill(seed, cylinders, crash_at=n,
-                                maintain=maintain)
-        result.reports.append(report)
-        result.points_tested += 1
-        if on_point is not None:
-            on_point(report)
-    return result
-
-
-def _count_writes(seed: int, cylinders: int, maintain: bool) -> int:
-    """How many part-writes the primary performs in a clean drill."""
-    lab = _Lab(seed, cylinders, maintain)
-    lab.primary.replication.bootstrap()
-    for name, data in lab.files:
-        _upload(lab.client, name, data)
-    return lab.plan.writes_seen

@@ -22,9 +22,10 @@ manifest is rolled *forward* (finish steps 3-5), anything else is rolled
 *back* (delete temps; the source copies were never touched).  Either way
 each name ends on exactly one pack and the surviving
 :class:`~repro.server.shardmap.ShardMap` side is decidable from the
-manifest's presence alone.  :func:`rebalance_crash_sweep` proves this at
-every part-write of the whole protocol across **both** packs
-(``python -m repro crashtest --rebalance``).
+manifest's presence alone.  :class:`ShippingScenario` hands the protocol
+to the sweep driver (:func:`~repro.disk.faults.sweep`), which proves this
+at every part-write of the whole protocol across **both** packs
+(``python -m repro crashtest --scenario rebalance``).
 
 >>> from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
 >>> source = FileSystem.format(DiskDrive(DiskImage(tiny_test_disk())))
@@ -41,12 +42,21 @@ False
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
+from ..disk.cache import CachedDrive
+from ..disk.drive import DiskDrive
+from ..disk.faults import CrashReport, CrashScenario, PlanFactory
+from ..disk.geometry import tiny_test_disk
+from ..disk.image import DiskImage
 from ..errors import FileNotFound, ReproError
 from ..fs.filesystem import FileSystem
+from ..fs.fsck import check_image
+from ..fs.scavenger import Scavenger
 from ..words import random_bytes
+from .shardmap import ShardMap
 
 #: The durable commit record on the *target* pack.  Its existence is the
 #: whole commit state: present = roll forward, absent = roll back.
@@ -227,268 +237,158 @@ def recover_shipment(source_fs: FileSystem,
 
 
 # ----------------------------------------------------------------------------
-# The exhaustive rebalance crash sweep (``python -m repro crashtest --rebalance``)
+# The rebalance crash scenario (``python -m repro crashtest --scenario rebalance``)
 # ----------------------------------------------------------------------------
 
 
-class _TaggedPlan:
-    """Builds a :class:`~repro.disk.faults.FaultPlan` subclass whose write
-    stream is logged into a shared, globally ordered list -- the coordinate
-    system for crash points spanning two packs."""
+@dataclass
+class ShipmentReport(CrashReport):
+    """One crash point's recovery verdict."""
 
-    @staticmethod
-    def make(image, seed: int, tag: str, log: List[str]):
-        from ..disk.faults import FaultPlan
+    rolled: str = ""  # "forward" or "back"
 
-        class Tagged(FaultPlan):
-            def before_part(self, drive, address, part, action):
-                if action == "write" and not self.crashed:
-                    log.append(tag)
-                super().before_part(drive, address, part, action)
-
-        return Tagged(image, seed=seed)
+    def __str__(self) -> str:
+        return (f"crash@{self.crash_point} rolled {self.rolled or '?'}: "
+                f"{self.status()}")
 
 
-def _build_shipping_lab(seed: int, cylinders: int):
-    """Two deterministic packs plus the moving name set.
+class ShippingScenario(CrashScenario):
+    """One slot shipped between two deterministic packs.
 
     The source pack gets ten files; the slot chosen to move is the one
     holding the most of them (at least two with the default seed), so the
-    sweep exercises multi-file shipments.
-    """
-    import random
-
-    from ..disk.drive import DiskDrive
-    from ..disk.geometry import tiny_test_disk
-    from ..disk.image import DiskImage
-    from .shardmap import ShardMap
-
-    source_image = DiskImage(tiny_test_disk(cylinders=cylinders))
-    target_image = DiskImage(tiny_test_disk(cylinders=cylinders))
-    source_fs = FileSystem.format(DiskDrive(source_image))
-    target_fs = FileSystem.format(DiskDrive(target_image))
-    rng = random.Random(seed)
-    contents: Dict[str, bytes] = {}
-    for i in range(10):
-        name = f"ship{i}.dat"
-        data = random_bytes(rng, rng.randrange(80, 1500))
-        source_fs.create_file(name).write_data(data)
-        contents[name] = data
-    stay = random_bytes(rng, 700)
-    target_fs.create_file("resident.dat").write_data(stay)
-    source_fs.sync()
-    target_fs.sync()
-
-    shard_map = ShardMap(shards=2, seed=seed)
-    by_slot: Dict[int, List[str]] = {}
-    for name in contents:
-        by_slot.setdefault(shard_map.slot_of(name), []).append(name)
-    slot = max(by_slot, key=lambda s: (len(by_slot[s]), -s))
-    moving = sorted(by_slot[slot])
-    return (source_image, target_image, contents, {"resident.dat": stay},
-            slot, moving)
-
-
-@dataclass
-class ShipmentReport:
-    """One crash point's recovery verdict."""
-
-    crash_point: int
-    crash_reason: str = ""
-    rolled: str = ""  # "forward" or "back"
-    problems: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def note(self, problem: str) -> None:
-        self.problems.append(problem)
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else "; ".join(self.problems)
-        return f"crash@{self.crash_point} rolled {self.rolled or '?'}: {status}"
-
-
-@dataclass
-class ShipmentSweepResult:
-    """Outcome of the whole rebalance crash sweep."""
-
-    total_writes: int = 0
-    points_tested: int = 0
-    reports: List[ShipmentReport] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[ShipmentReport]:
-        return [r for r in self.reports if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return self.points_tested > 0 and not self.failures
-
-    def summary(self) -> str:
-        verdict = "all recovered" if self.ok else f"{len(self.failures)} FAILED"
-        forward = sum(1 for r in self.reports if r.rolled == "forward")
-        return (f"{self.points_tested}/{self.total_writes} shipping crash "
-                f"points swept: {verdict} ({forward} rolled forward, "
-                f"{self.points_tested - forward} rolled back)")
-
-
-def _check_shipping_recovery(
-    source_image, target_image, moving: Sequence[str],
-    source_contents: Dict[str, bytes], target_contents: Dict[str, bytes],
-    report: ShipmentReport,
-) -> None:
-    """Scavenge, recover, and assert every shipping invariant."""
-    from ..disk.drive import DiskDrive
-    from ..fs.fsck import check_image
-    from ..fs.scavenger import Scavenger
-
-    try:
-        Scavenger(DiskDrive(source_image)).scavenge()
-        Scavenger(DiskDrive(target_image)).scavenge()
-        source_fs = FileSystem.mount(DiskDrive(source_image))
-        target_fs = FileSystem.mount(DiskDrive(target_image))
-        shipment = recover_shipment(source_fs, target_fs)
-    except ReproError as exc:
-        report.note(f"recovery failed: {type(exc).__name__}: {exc}")
-        return
-    report.rolled = "forward" if shipment is not None else "back"
-    if shipment is not None and sorted(shipment.names) != sorted(moving):
-        report.note(f"manifest names {shipment.names} != moving set {moving}")
-
-    # The invariant: every moving name intact on exactly one pack -- and
-    # all on the *same* pack, so the slot stays whole.  A crash after the
-    # manifest was cleaned up legitimately recovers as "back" even though
-    # the shipment completed, so the winner is found per name, not
-    # assumed from the roll direction.
-    source_names = set(source_fs.list_files())
-    target_names = set(target_fs.list_files())
-    homes = set()
-    for name in moving:
-        on_source, on_target = name in source_names, name in target_names
-        if on_source and on_target:
-            report.note(f"{name}: present on BOTH packs after recovery")
-            continue
-        if not on_source and not on_target:
-            report.note(f"{name}: lost -- on neither pack after recovery")
-            continue
-        winner_fs = source_fs if on_source else target_fs
-        homes.add("source" if on_source else "target")
-        try:
-            found = winner_fs.open_file(name).read_data()
-        except ReproError as exc:
-            report.note(f"{name}: unreadable after recovery ({type(exc).__name__})")
-            continue
-        if found != source_contents[name]:
-            report.note(f"{name}: contents changed in shipping "
-                        f"({len(found)} bytes found)")
-    if len(homes) > 1:
-        report.note(f"moving names split across packs: {sorted(homes)}")
-
-    # Files outside the moving range never move and never change.
-    for name, data in source_contents.items():
-        if name in moving:
-            continue
-        try:
-            if source_fs.open_file(name).read_data() != data:
-                report.note(f"{name}: bystander source file changed")
-        except ReproError as exc:
-            report.note(f"{name}: bystander source file lost ({type(exc).__name__})")
-    for name, data in target_contents.items():
-        try:
-            if target_fs.open_file(name).read_data() != data:
-                report.note(f"{name}: bystander target file changed")
-        except ReproError as exc:
-            report.note(f"{name}: bystander target file lost ({type(exc).__name__})")
-
-    # No protocol residue survives recovery.
-    for name in source_fs.list_files() + target_fs.list_files():
-        lowered = name.lower()
-        if SHIP_SUFFIX in lowered or lowered.startswith(MANIFEST_NAME.lower()):
-            report.note(f"protocol residue {name!r} survived recovery")
-
-    # Both packs pass the read-only fsck (the replica-unit property).
-    for label, img in (("source", source_image), ("target", target_image)):
-        for issue in check_image(img).issues:
-            if issue.kind not in ("ragged-end",):
-                report.note(f"fsck[{label}]: {issue}")
-
-
-def rebalance_crash_sweep(
-    seed: int = 1979,
-    cylinders: int = 20,
-    tear: bool = False,
-    points: Optional[Sequence[int]] = None,
-    on_point: Optional[Callable[[ShipmentReport], None]] = None,
-    cached: bool = False,
-) -> ShipmentSweepResult:
-    """Crash pack shipping at every part-write across both packs.
-
-    Writes on the two drives are globally ordered by a shared log, so
-    crash point N means "the Nth write the whole protocol performed,
-    whichever pack it landed on".  Each point replays the shipment from
-    image snapshots with the crash (clean, or torn with *tear*) scheduled
-    there, scavenges **both** packs, runs :func:`recover_shipment`, and
+    sweep exercises multi-file shipments.  Both packs' writes are crash
+    points in one global order ("the Nth write the whole protocol
+    performed, whichever pack it landed on"); torn-write garbage is drawn
+    per pack, from *seed* on the source and *seed* + 1 on the target.
+    Recovery scavenges **both** packs, runs :func:`recover_shipment`, and
     checks that the moving names survive intact on exactly one pack.
     """
-    from ..disk.drive import DiskDrive
 
-    def make_drive(image, plan):
-        if cached:
-            from ..disk.cache import CachedDrive
+    def __init__(self, seed: int = 1979, cylinders: int = 20,
+                 cached: bool = False) -> None:
+        self.seed = seed
+        self.drive = CachedDrive if cached else DiskDrive
+        self.source_image = DiskImage(tiny_test_disk(cylinders=cylinders))
+        self.target_image = DiskImage(tiny_test_disk(cylinders=cylinders))
+        source_fs = FileSystem.format(DiskDrive(self.source_image))
+        target_fs = FileSystem.format(DiskDrive(self.target_image))
+        rng = random.Random(seed)
+        self.source_contents: Dict[str, bytes] = {}
+        for i in range(10):
+            name = f"ship{i}.dat"
+            data = random_bytes(rng, rng.randrange(80, 1500))
+            source_fs.create_file(name).write_data(data)
+            self.source_contents[name] = data
+        self.target_contents = {"resident.dat": random_bytes(rng, 700)}
+        target_fs.create_file("resident.dat").write_data(
+            self.target_contents["resident.dat"])
+        source_fs.sync()
+        target_fs.sync()
+        self.source_base = self.source_image.snapshot()
+        self.target_base = self.target_image.snapshot()
 
-            return CachedDrive(image, fault_injector=plan)
-        return DiskDrive(image, fault_injector=plan)
+        shard_map = ShardMap(shards=2, seed=seed)
+        by_slot: Dict[int, List[str]] = {}
+        for name in self.source_contents:
+            by_slot.setdefault(shard_map.slot_of(name), []).append(name)
+        self.slot = max(by_slot, key=lambda s: (len(by_slot[s]), -s))
+        self.moving = sorted(by_slot[self.slot])
 
-    (source_image, target_image, source_contents, target_contents,
-     slot, moving) = _build_shipping_lab(seed, cylinders)
-    source_base = source_image.snapshot()
-    target_base = target_image.snapshot()
+    def run(self, plan: PlanFactory) -> None:
+        self.source_image.restore(self.source_base)
+        self.target_image.restore(self.target_base)
+        source_fs = FileSystem.mount(self.drive(
+            self.source_image,
+            fault_injector=plan(self.source_image, self.seed)))
+        target_fs = FileSystem.mount(self.drive(
+            self.target_image,
+            fault_injector=plan(self.target_image, self.seed + 1)))
+        ship_names(source_fs, target_fs, self.moving, self.slot)
 
-    def run_shipment(log: List[str], plans: List) -> None:
-        source_plan = _TaggedPlan.make(source_image, seed, "s", log)
-        target_plan = _TaggedPlan.make(target_image, seed + 1, "t", log)
-        plans.extend([source_plan, target_plan])
-        source_fs = FileSystem.mount(make_drive(source_image, source_plan))
-        target_fs = FileSystem.mount(make_drive(target_image, target_plan))
-        ship_names(source_fs, target_fs, moving, slot)
+    def verify(self, crash_point: int, crash_reason: str) -> ShipmentReport:
+        report = ShipmentReport(crash_point=crash_point,
+                                crash_reason=crash_reason)
+        self._check_recovery(report)
+        return report
 
-    # Pass 1: no faults; the log becomes the global write order.
-    order: List[str] = []
-    run_shipment(order, [])
-    total = len(order)
+    def summary(self, result) -> str:
+        verdict = ("all recovered" if result.ok
+                   else f"{len(result.failures)} FAILED")
+        forward = sum(1 for r in result.reports if r.rolled == "forward")
+        return (f"{result.points_tested}/{result.total_writes} shipping crash "
+                f"points swept: {verdict} ({forward} rolled forward, "
+                f"{result.points_tested - forward} rolled back)")
 
-    result = ShipmentSweepResult(total_writes=total)
-    chosen = list(points) if points is not None else list(range(1, total + 1))
-    from ..errors import PowerFailure
-
-    for n in chosen:
-        if not 1 <= n <= total:
-            raise ValueError(f"crash point {n} outside 1..{total}")
-        source_image.restore(source_base)
-        target_image.restore(target_base)
-        local = order[:n].count(order[n - 1])
-        log: List[str] = []
-        plans: List = []
-        report = ShipmentReport(crash_point=n)
+    def _check_recovery(self, report: ShipmentReport) -> None:
+        """Scavenge, recover, and assert every shipping invariant."""
+        moving = self.moving
         try:
-            # Schedule on the right pack's plan once both exist; mounting
-            # performs no writes, so scheduling before the run is safe.
-            source_plan = _TaggedPlan.make(source_image, seed, "s", log)
-            target_plan = _TaggedPlan.make(target_image, seed + 1, "t", log)
-            victim = source_plan if order[n - 1] == "s" else target_plan
-            (victim.tear_at_write if tear else victim.crash_at_write)(local)
-            source_fs = FileSystem.mount(make_drive(source_image, source_plan))
-            target_fs = FileSystem.mount(make_drive(target_image, target_plan))
-            ship_names(source_fs, target_fs, moving, slot)
-            report.note(f"fault at global write {n} never fired")
-        except PowerFailure as exc:
-            report.crash_reason = str(exc)
-        _check_shipping_recovery(source_image, target_image, moving,
-                                 source_contents, target_contents, report)
-        result.reports.append(report)
-        result.points_tested += 1
-        if on_point is not None:
-            on_point(report)
-    return result
+            Scavenger(DiskDrive(self.source_image)).scavenge()
+            Scavenger(DiskDrive(self.target_image)).scavenge()
+            source_fs = FileSystem.mount(DiskDrive(self.source_image))
+            target_fs = FileSystem.mount(DiskDrive(self.target_image))
+            shipment = recover_shipment(source_fs, target_fs)
+        except ReproError as exc:
+            report.note(f"recovery failed: {type(exc).__name__}: {exc}")
+            return
+        report.rolled = "forward" if shipment is not None else "back"
+        if shipment is not None and sorted(shipment.names) != moving:
+            report.note(f"manifest names {shipment.names} != moving set {moving}")
+
+        # The invariant: every moving name intact on exactly one pack -- and
+        # all on the *same* pack, so the slot stays whole.  A crash after the
+        # manifest was cleaned up legitimately recovers as "back" even though
+        # the shipment completed, so the winner is found per name, not
+        # assumed from the roll direction.
+        source_names = set(source_fs.list_files())
+        target_names = set(target_fs.list_files())
+        homes = set()
+        for name in moving:
+            on_source, on_target = name in source_names, name in target_names
+            if on_source and on_target:
+                report.note(f"{name}: present on BOTH packs after recovery")
+                continue
+            if not on_source and not on_target:
+                report.note(f"{name}: lost -- on neither pack after recovery")
+                continue
+            winner_fs = source_fs if on_source else target_fs
+            homes.add("source" if on_source else "target")
+            try:
+                found = winner_fs.open_file(name).read_data()
+            except ReproError as exc:
+                report.note(f"{name}: unreadable after recovery "
+                            f"({type(exc).__name__})")
+                continue
+            if found != self.source_contents[name]:
+                report.note(f"{name}: contents changed in shipping "
+                            f"({len(found)} bytes found)")
+        if len(homes) > 1:
+            report.note(f"moving names split across packs: {sorted(homes)}")
+
+        # Files outside the moving range never move and never change.
+        bystanders = [(source_fs, "source", name, data)
+                      for name, data in self.source_contents.items()
+                      if name not in moving]
+        bystanders += [(target_fs, "target", name, data)
+                       for name, data in self.target_contents.items()]
+        for fs, label, name, data in bystanders:
+            try:
+                if fs.open_file(name).read_data() != data:
+                    report.note(f"{name}: bystander {label} file changed")
+            except ReproError as exc:
+                report.note(f"{name}: bystander {label} file lost "
+                            f"({type(exc).__name__})")
+
+        # No protocol residue survives recovery.
+        for name in source_fs.list_files() + target_fs.list_files():
+            lowered = name.lower()
+            if SHIP_SUFFIX in lowered or lowered.startswith(MANIFEST_NAME.lower()):
+                report.note(f"protocol residue {name!r} survived recovery")
+
+        # Both packs pass the read-only fsck (the replica-unit property).
+        for label, image in (("source", self.source_image),
+                             ("target", self.target_image)):
+            for issue in check_image(image).issues:
+                if issue.kind != "ragged-end":
+                    report.note(f"fsck[{label}]: {issue}")

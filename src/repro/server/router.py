@@ -554,9 +554,15 @@ class ShardRouter:
         # The round trip through the shard, on the producing shard's link
         # clock (the router's own clock has not yet advanced to this
         # cycle's horizon when responses are collected).
-        self._h_hop_us.observe(max(0, link.now_us - ctx.sent_us))
+        self._observe_hop(link, ctx)
         self._relay(state, self._rewrite(state, ctx, shard, response), link)
         self._c_relayed.inc()
+
+    def _observe_hop(self, link, ctx: _InFlight) -> None:
+        """Record one shard round trip; a negative one is an accounting bug."""
+        hop_us = link.now_us - ctx.sent_us
+        assert hop_us >= 0, f"shard hop of {hop_us} us: link clock behind send"
+        self._h_hop_us.observe(hop_us)
 
     def _rewrite(self, state: _ClientState, ctx: _InFlight, shard: int,
                  response: Response) -> Response:
@@ -601,7 +607,7 @@ class ShardRouter:
         state.inflight.pop(request_id, None)
         self._pending -= 1
         self._g_pending.set(self._pending)
-        self._h_hop_us.observe(max(0, link.now_us - ctx.sent_us))
+        self._observe_hop(link, ctx)
         names = merge_names([ctx.names])
         payload: List[int] = []
         for name in names:

@@ -118,23 +118,15 @@ def planned_drive(image, fault_plan):
 def crash_sweeper(repro_seed):
     """Run the canonical crash-point sweep (see repro.fs.check), seeded by
     --repro-seed so every failure is replayable."""
-    from repro.fs.check import canonical_build, canonical_workload, crash_point_sweep
+    from repro.disk.faults import sweep
+    from repro.fs.check import canonical_scenario
 
-    def sweep(points=None, tear=False, seed=None, cylinders=20, cached=False):
+    def sweeper(points=None, tear=False, seed=None, cylinders=20, cached=False):
         chosen = repro_seed if seed is None else seed
-        make_drive = None
-        if cached:
-            make_drive = lambda image, plan: CachedDrive(image, fault_injector=plan)
-        return crash_point_sweep(
-            canonical_build(chosen, cylinders=cylinders),
-            canonical_workload(chosen),
-            seed=chosen,
-            points=points,
-            tear=tear,
-            make_drive=make_drive,
-        )
+        return sweep(canonical_scenario(chosen, cylinders, cached),
+                     points=points, tear=tear)
 
-    return sweep
+    return sweeper
 
 
 @pytest.fixture

@@ -5,8 +5,6 @@ own primitives -- prefix consistency, file snapshots, the per-crash check,
 and sweep determinism -- get pinned here first.
 """
 
-import pytest
-
 from repro.fs import (
     Change,
     check_recovery,
@@ -138,7 +136,3 @@ class TestSweepDeterminism:
             r.problems for r in second.reports
         ]
         assert first.ok and second.ok
-
-    def test_out_of_range_point_rejected(self, crash_sweeper):
-        with pytest.raises(ValueError):
-            crash_sweeper(points=[10_000])

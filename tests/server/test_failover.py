@@ -1,22 +1,21 @@
 """The failover drill: kill the primary mid-load, lose nothing acked.
 
 The exhaustive sweep (every part-write a crash point) is the CLI's and
-CI's job -- ``python -m repro failover``.  Here the drill is pinned at
-test speed: the clean run, a handful of representative crash points
-(early, mid-stream, late), and the CLI plumbing itself.
+CI's job -- ``python -m repro crashtest --scenario failover``.  Here the
+drill is pinned at test speed: the clean run, a handful of representative
+crash points (early, mid-stream, late), and the CLI plumbing itself.
 """
 
 import pytest
 
-from repro.server.failover import (
-    failover_crash_sweep,
-    failover_drill,
-    workload_files,
-)
+from repro.disk import FaultPlan, sweep
+from repro.server.failover import FailoverScenario, workload_files
 
 
 def test_clean_drill_acks_the_whole_workload():
-    report = failover_drill()
+    scenario = FailoverScenario()
+    scenario.run(FaultPlan)
+    report = scenario.verify(0, "")
     assert report.ok, report.problems
     assert report.crash_point == 0
     assert report.tail_records == 0              # nothing crashed
@@ -33,7 +32,7 @@ def test_workload_is_seed_deterministic():
 
 @pytest.mark.parametrize("point", [5, 45, 90])
 def test_swept_crash_points_lose_no_acked_write(point):
-    result = failover_crash_sweep(points=[point])
+    result = sweep(FailoverScenario(), points=[point])
     assert result.ok, result.summary()
     assert result.points_tested == 1
     report = result.reports[0]
@@ -42,22 +41,10 @@ def test_swept_crash_points_lose_no_acked_write(point):
     assert not report.problems
 
 
-def test_sweep_rejects_out_of_range_points():
-    with pytest.raises(ValueError):
-        failover_crash_sweep(points=[10**9])
-
-
-def test_failover_cli_drill(capsys):
-    from repro.__main__ import main
-
-    assert main(["failover", "--drill-only"]) == 0
-    out = capsys.readouterr().out
-    assert "crash@0" in out and "ok" in out
-
-
 def test_failover_cli_sweep_subsample(capsys):
     from repro.__main__ import main
 
-    assert main(["failover", "--points", "45", "-v"]) == 0
+    assert main(["crashtest", "--scenario", "failover",
+                 "--points", "45", "-v"]) == 0
     out = capsys.readouterr().out
     assert "zero acked writes lost" in out

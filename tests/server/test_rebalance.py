@@ -5,18 +5,19 @@ crash during a rebalance, every moving name is intact on exactly one
 pack, all moving names share that pack, bystanders are untouched, and no
 protocol residue (``!ship`` temps, manifests) survives recovery.  The
 exhaustive sweep crashes at every part-write across *both* packs -- the
-same sweep ``python -m repro crashtest --rebalance`` runs.
+same sweep ``python -m repro crashtest --scenario rebalance`` runs.
 """
 
 import pytest
 
 from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
+from repro.disk.faults import sweep
 from repro.server.rebalance import (
     MANIFEST_NAME,
     MANIFEST_SHADOW,
     SHIP_SUFFIX,
     Shipment,
-    rebalance_crash_sweep,
+    ShippingScenario,
     recover_shipment,
     ship_names,
 )
@@ -122,7 +123,7 @@ def test_shipment_manifest_roundtrip():
 
 def test_full_crash_sweep_recovers_every_point():
     """Every part-write crash across both packs recovers to the invariant."""
-    result = rebalance_crash_sweep(seed=1979, cylinders=20)
+    result = sweep(ShippingScenario(seed=1979, cylinders=20))
     assert result.points_tested == result.total_writes > 0
     assert result.ok, "\n".join(str(r) for r in result.failures)
     # Both roll directions must actually be exercised by the sweep.
@@ -132,11 +133,6 @@ def test_full_crash_sweep_recovers_every_point():
 
 def test_full_crash_sweep_recovers_with_torn_writes():
     """The crashing write lands half-old half-new; recovery still holds."""
-    result = rebalance_crash_sweep(seed=1979, cylinders=20, tear=True)
+    result = sweep(ShippingScenario(seed=1979, cylinders=20), tear=True)
     assert result.points_tested == result.total_writes > 0
     assert result.ok, "\n".join(str(r) for r in result.failures)
-
-
-def test_sweep_rejects_out_of_range_points():
-    with pytest.raises(ValueError):
-        rebalance_crash_sweep(seed=1979, cylinders=20, points=[10_000])

@@ -5,13 +5,20 @@ write boundary.  An exhaustive 2077-point sweep (clean and torn alternating)
 holds offline; here a deterministic sample of those points keeps the promise
 under continuous test at pytest cost.  The plain :meth:`outload` gets the
 weaker-but-honest check: a crash mid-write may lose the state file, but the
-loss is always *detected* (checksums -> BadStateFile), never silent.
+loss is always *detected* (checksums -> BadStateFile), never silent.  Both
+run their sampled points through the crash-sweep driver.
 """
 
-import pytest
-
-from repro.disk import DiskDrive, DiskImage, FaultPlan, tiny_test_disk
-from repro.errors import BadStateFile, PowerFailure
+from repro.disk import (
+    CrashReport,
+    CrashScenario,
+    DiskDrive,
+    DiskImage,
+    count_writes,
+    sweep,
+    tiny_test_disk,
+)
+from repro.errors import BadStateFile
 from repro.fs import FileSystem, Scavenger
 from repro.world import Machine, SHADOW_SUFFIX, WorldSwapper
 
@@ -54,10 +61,34 @@ def recover_and_inload(image):
     return phase, machine.get_register(0)
 
 
-def count_writes(image, atomic):
-    plan = FaultPlan(image.snapshot())
-    run_outload(plan.image, plan, atomic=atomic)
-    return plan.writes_seen
+class OutloadScenario(CrashScenario):
+    """OutLoad the NEW state over the committed OLD one; recovery must
+    InLoad one of the two.  The plain OutLoad may instead leave a state
+    file its checksums reject: those points are counted in ``detected``."""
+
+    def __init__(self, seed, atomic):
+        self.seed = seed
+        self.atomic = atomic
+        self.baseline = build_world()
+        self.detected = 0
+
+    def run(self, plan):
+        self.image = self.baseline.snapshot()
+        run_outload(self.image, plan(self.image, self.seed), atomic=self.atomic)
+
+    def verify(self, crash_point, crash_reason):
+        report = CrashReport(crash_point=crash_point, crash_reason=crash_reason)
+        try:
+            phase, marker = recover_and_inload(self.image)
+        except BadStateFile as exc:
+            if self.atomic:
+                report.note(f"atomic OutLoad left a bad state file: {exc}")
+            else:
+                self.detected += 1  # torn image caught by the state checksums
+            return report
+        if (phase, marker) not in {("phaseA", OLD_MARK), ("phaseB", NEW_MARK)}:
+            report.note(f"got phase={phase} marker={marker:#x}")
+        return report
 
 
 def sample_points(total, repro_seed, count=12):
@@ -71,21 +102,14 @@ def sample_points(total, repro_seed, count=12):
 
 class TestAtomicOutload:
     def test_old_or_new_at_sampled_crash_points(self, repro_seed):
-        baseline = build_world()
-        total = count_writes(baseline, atomic=True)
+        scenario = OutloadScenario(repro_seed, atomic=True)
+        total = count_writes(scenario)
         assert total > 50  # a world image is many pages
-        for n in sample_points(total, repro_seed):
-            for tear in (False, True):
-                image = baseline.snapshot()
-                plan = FaultPlan(image, seed=repro_seed)
-                plan.tear_at_write(n) if tear else plan.crash_at_write(n)
-                with pytest.raises(PowerFailure):
-                    run_outload(image, plan)
-                phase, marker = recover_and_inload(image)
-                expected = {("phaseA", OLD_MARK), ("phaseB", NEW_MARK)}
-                assert (phase, marker) in expected, (
-                    f"crash@{n} tear={tear}: got phase={phase} marker={marker:#x}"
-                )
+        points = sample_points(total, repro_seed)
+        for tear in (False, True):
+            result = sweep(scenario, points=points, tear=tear)
+            assert result.ok, f"tear={tear}: " + "; ".join(
+                str(r) for r in result.failures)
 
     def test_uninterrupted_atomic_outload_commits_and_cleans_up(self):
         image = build_world()
@@ -122,27 +146,10 @@ class TestPlainOutload:
     def test_crash_is_detected_never_silent(self, repro_seed):
         """The in-place OutLoad may lose the old state, but a crashed write
         is always either a valid state or a checksum-detected BadStateFile."""
-        baseline = build_world()
-        total = count_writes(baseline, atomic=False)
-        detected = 0
-        for n in sample_points(total, repro_seed, count=8):
-            image = baseline.snapshot()
-            plan = FaultPlan(image, seed=repro_seed)
-            plan.tear_at_write(n)
-            with pytest.raises(PowerFailure):
-                run_outload(image, plan, atomic=False)
-            Scavenger(DiskDrive(image)).scavenge()
-            fs = FileSystem.mount(DiskDrive(image))
-            machine = Machine()
-            try:
-                program, phase = WorldSwapper(fs, machine).inload(STATE_FILE)
-            except BadStateFile:
-                detected += 1  # torn image caught by the state checksums
-                continue
-            assert (phase, machine.get_register(0)) in {
-                ("phaseA", OLD_MARK),
-                ("phaseB", NEW_MARK),
-            }
+        scenario = OutloadScenario(repro_seed, atomic=False)
+        points = sample_points(count_writes(scenario), repro_seed, count=8)
+        result = sweep(scenario, points=points, tear=True)
+        assert result.ok, "; ".join(str(r) for r in result.failures)
         # At least one sampled point must actually exercise the detection
         # path, or the test proves nothing.
-        assert detected > 0
+        assert scenario.detected > 0
