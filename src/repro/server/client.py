@@ -59,6 +59,7 @@ from .protocol import (
     ST_BUSY,
     ST_NAMES,
     ST_OK,
+    decode_names,
     encode_request,
 )
 
@@ -308,15 +309,7 @@ class FileClient:
 
     def listdir(self) -> List[str]:
         """The server directory's file names."""
-        from ..words import words_to_string
-
-        response = self.transact(self.build_list())
-        names, words, index = [], list(response.payload), 0
-        while index < len(words):
-            count = words[index]
-            names.append(words_to_string(words[index + 1: index + 1 + count]))
-            index += 1 + count
-        return names
+        return decode_names(self.transact(self.build_list()).payload)
 
     def read_file(self, name: str) -> bytes:
         """Fetch a whole file with batched sequential READs."""

@@ -54,12 +54,10 @@ from ..errors import (
     DiskFull,
     FileNotFound,
     FileSystemError,
-    ProtocolError,
     ServerError,
 )
 from ..fs.file import FULL_PAGE
 from ..net.network import Packet, PacketNetwork
-from ..words import words_to_string
 from .events import EventQueue
 from .protocol import (
     FLAG_CREATE,
@@ -80,7 +78,10 @@ from .protocol import (
     ST_NAMES,
     ST_NOT_FOUND,
     ST_OK,
+    decode_name,
+    encode_names,
     encode_response,
+    receive_frames,
 )
 from .qos import (
     DEFAULT_QOS_WEIGHTS,
@@ -88,6 +89,7 @@ from .qos import (
     QOS_INTERACTIVE,
     AdmissionCurve,
 )
+from .session import Session
 
 #: Default bound on admitted-but-unserviced requests across all clients.
 DEFAULT_MAX_PENDING = 64
@@ -144,10 +146,7 @@ class FileServer:
         #: Timers keyed by the simulated clock, fired at the end of every
         #: poll cycle (the maintenance slice rides here).
         self.timers = EventQueue(self.clock)
-        from .session import Session
-
-        self._session_type = Session
-        self.sessions: Dict[str, "Session"] = {}
+        self.sessions: Dict[str, Session] = {}
         #: Per-client FIFOs of admitted work; a client has an entry only
         #: while it has queued requests (otherwise its session sleeps).
         self._queues: Dict[str, Deque[Tuple[Request, int]]] = {}
@@ -272,12 +271,8 @@ class FileServer:
             self._in_cycle = False
         if wrote:
             with self.obs.span("server.flush", "server"):
-                drained = self.fs.flush()
+                self.fs.flush()
             self._c_flushes.inc()
-            for session in self.sessions.values():
-                for handle in session.handles.values():
-                    handle.wrote = False
-            del drained
         fired = self.timers.fire_due()
         if fired:
             self._c_timer_events.inc(fired)
@@ -304,21 +299,9 @@ class FileServer:
 
     def _ingest(self) -> None:
         """Drain the receive queue; admit complete frames or shed busy."""
-        while True:
-            packet = self.network.receive(self.host)
-            if packet is None:
-                return
-            try:
-                completed = self.assembler.feed(packet)
-            except ProtocolError:
-                self._c_errors.inc()
-                continue
-            if completed is None:
-                continue
-            source, frame = completed
-            if not isinstance(frame, Request):
-                self._c_errors.inc()
-                continue
+        for source, frame in receive_frames(self.network, self.host,
+                                            self.assembler, Request,
+                                            self._c_errors):
             if not self.network.attached(source):
                 # The sender unplugged while its frame was on the wire:
                 # nothing to answer, and whatever it held is reaped.
@@ -476,10 +459,9 @@ class FileServer:
         """Execute one admitted request; returns True when it wrote."""
         session = self.sessions.get(client)
         if session is None:
-            session = self.sessions[client] = self._session_type(
+            session = self.sessions[client] = Session(
                 client, qos=self._qos.get(client, QOS_INTERACTIVE))
             self._c_sessions.inc()
-        session.last_wake_us = self.clock.now_us
         cached = session.replay(request.request_id)
         if cached is not None:
             self._c_replayed.inc()
@@ -509,7 +491,6 @@ class FileServer:
             if response.status != ST_OK:
                 span.annotate(status=ST_NAMES[response.status])
             self._c_requests.inc()
-            session.requests_served += 1
             packets = self._respond(client, response)
             session.remember(request.request_id, packets)
             end_us = self.clock.now_us
@@ -548,10 +529,7 @@ class FileServer:
     # -- the five operations --------------------------------------------------
 
     def _do_open(self, session, request: Request) -> Response:
-        try:
-            name = words_to_string(list(request.payload))
-        except Exception:
-            return Response(ST_BAD_REQUEST, request.request_id)
+        name = decode_name(request.payload)
         if not name:
             return Response(ST_BAD_REQUEST, request.request_id)
         try:
@@ -560,7 +538,7 @@ class FileServer:
             if not request.arg0 & FLAG_CREATE:
                 return Response(ST_NOT_FOUND, request.request_id)
             file = self.fs.create_file(name)
-        handle = session.grant(file, name, now_us=self.clock.now_us)
+        handle = session.grant(file, name)
         size = file.byte_length
         return Response(ST_OK, request.request_id, handle=handle,
                         result0=size >> 16, result1=size & 0xFFFF)
@@ -582,9 +560,7 @@ class FileServer:
             contents = handle.file.read_page(page)
             payload.extend(contents.value)
             tail_bytes = contents.label.length
-        handle.pages_read += pages
         self._c_pages_read.inc(pages)
-        session.read_cursor = (request.handle, first + pages)
         return Response(ST_OK, request.request_id, handle=request.handle,
                         result0=pages, result1=tail_bytes,
                         payload=tuple(payload))
@@ -627,8 +603,6 @@ class FileServer:
                     return Response(ST_BAD_PAGE, request.request_id), False
         except ValueError:
             return Response(ST_BAD_REQUEST, request.request_id), False
-        handle.pages_written += 1
-        handle.wrote = True
         self._c_pages_written.inc()
         return Response(ST_OK, request.request_id, handle=request.handle,
                         result0=file.last_page_number), True
@@ -639,16 +613,9 @@ class FileServer:
         return Response(ST_OK, request.request_id)
 
     def _do_list(self, request: Request) -> Response:
-        from ..words import string_to_words
-
         names = self.fs.list_files()
-        payload: List[int] = []
-        for name in names:
-            words = string_to_words(name)
-            payload.append(len(words))
-            payload.extend(words)
         return Response(ST_OK, request.request_id, result0=len(names),
-                        payload=tuple(payload))
+                        payload=encode_names(names))
 
     # ------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ schedule produce byte-identical disk images and identical metrics
 snapshots (``tests/server/test_determinism.py`` proves it).
 
 >>> from repro.server.loadgen import build_system, LoadGenerator
->>> system = build_system(clients=2, seed=7)
+>>> system = build_system(clients=2)
 >>> result = LoadGenerator(system, file_bytes=600, read_rounds=1).run()
 >>> result.clients, result.requests > 0, result.errors
 (2, True, 0)
@@ -60,12 +60,29 @@ class ServedSystem:
         return self.clock.obs.stats()
 
 
+def _format_pack(cached: bool, cache_sectors: int, tiny: bool) -> FileSystem:
+    """One server machine's freshly formatted pack, on its own drive (and
+    so its own clock)."""
+    image = DiskImage(tiny_test_disk(cylinders=40) if tiny else diablo31())
+    drive = (CachedDrive(image, cache_sectors=cache_sectors)
+             if cached else DiskDrive(image))
+    return FileSystem.format(drive)
+
+
+def _attach_clients(network: PacketNetwork, clients: int) -> List[FileClient]:
+    """Workstations ``ws000``, ``ws001``, ... on *network*."""
+    stations = []
+    for index in range(clients):
+        host = f"ws{index:03d}"
+        network.attach(host)
+        stations.append(FileClient(network, host))
+    return stations
+
+
 def build_system(
     clients: int,
-    seed: int = 1979,
     cached: bool = True,
     cache_sectors: int = 512,
-    big_disk: bool = False,
     max_pending: int = 128,
     tiny: bool = False,
 ) -> ServedSystem:
@@ -76,24 +93,11 @@ def build_system(
     engine's one-flush-per-poll batching its bite; ``tiny=True`` uses the
     small test geometry for fast unit tests.
     """
-    if tiny:
-        shape = tiny_test_disk(cylinders=40)
-    else:
-        shape = diablo31()
-    image = DiskImage(shape)
-    drive = (CachedDrive(image, cache_sectors=cache_sectors)
-             if cached else DiskDrive(image))
-    fs = FileSystem.format(drive)
-    network = PacketNetwork(clock=drive.clock)
+    fs = _format_pack(cached, cache_sectors, tiny)
+    network = PacketNetwork(clock=fs.drive.clock)
     network.attach("fileserver", queue_limit=4096)
     server = FileServer(fs, network, max_pending=max_pending)
-    stations = []
-    for index in range(clients):
-        host = f"ws{index:03d}"
-        network.attach(host)
-        stations.append(FileClient(network, host))
-    del seed  # reserved for future topology randomization; kept for API stability
-    return ServedSystem(fs, network, server, stations)
+    return ServedSystem(fs, network, server, _attach_clients(network, clients))
 
 
 @dataclass
@@ -140,7 +144,6 @@ def build_cluster(
     seed: int = 1979,
     cached: bool = True,
     cache_sectors: int = 512,
-    big_disk: bool = False,
     max_pending: int = 128,
     per_shard_window: int = 32,
     tiny: bool = False,
@@ -161,27 +164,16 @@ def build_cluster(
     network = PacketNetwork()
     servers = []
     for index in range(shards):
-        if tiny:
-            shape = tiny_test_disk(cylinders=40)
-        else:
-            shape = diablo31()
-        image = DiskImage(shape)
-        drive = (CachedDrive(image, cache_sectors=cache_sectors)
-                 if cached else DiskDrive(image))
-        fs = FileSystem.format(drive)
+        fs = _format_pack(cached, cache_sectors, tiny)
         host = f"shard{index:02d}"
-        network.attach(host, queue_limit=4096, clock=drive.clock)
+        network.attach(host, queue_limit=4096, clock=fs.drive.clock)
         servers.append(FileServer(fs, network, host=host,
                                   max_pending=max_pending))
     router = ShardRouter(servers, network, seed=seed,
                          max_pending=max_pending,
                          per_shard_window=per_shard_window)
-    stations = []
-    for index in range(clients):
-        host = f"ws{index:03d}"
-        network.attach(host)
-        stations.append(FileClient(network, host))
-    return ClusterSystem(servers, network, router, stations)
+    return ClusterSystem(servers, network, router,
+                         _attach_clients(network, clients))
 
 
 @dataclass
@@ -286,8 +278,7 @@ def run_session_storm(
     (8, 0, 0)
     """
     if system is None:
-        system = build_system(clients=clients, seed=seed,
-                              max_pending=max_pending)
+        system = build_system(clients=clients, max_pending=max_pending)
     server = system.server
     stations = system.clients
     rng = random.Random(seed)

@@ -25,7 +25,12 @@ word  name               meaning
 Payload words follow in the same packet (up to the packet limit) and then
 in continuation packets.  Frames from one host are reassembled in order by
 :class:`FrameAssembler`; frames from different hosts may interleave at
-packet granularity.  See ``SERVER.md`` for the full specification.
+packet granularity.  Every receiver -- engine, router front door, router
+proxy hosts -- drains its queue through :func:`receive_frames`.  Names
+travel as BCPL strings: one per OPEN payload (:func:`decode_name`), a
+``[word count, words...]`` run per name in a LIST payload
+(:func:`encode_names` / :func:`decode_names`).  See ``SERVER.md`` for the
+full specification.
 
 >>> from repro.net import PacketNetwork
 >>> from repro.server.protocol import (FrameAssembler, OP_LIST, Request,
@@ -42,10 +47,11 @@ packet granularity.  See ``SERVER.md`` for the full specification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..net.network import MAX_PAYLOAD_WORDS, Packet, TYPE_CONTROL, TYPE_DATA
+from ..words import string_to_words, words_to_string
 
 #: Frame-kind discriminators (ASCII "FR" / "FS", both nonzero 16-bit words).
 MAGIC_REQUEST = 0x4652
@@ -190,6 +196,43 @@ def encode_response(response: Response, source: str, destination: str) -> List[P
                    response.payload, source, destination)
 
 
+def decode_name(payload: Sequence[int]) -> str:
+    """The file name an OPEN payload carries, or ``""`` when it does not
+    decode (both answer ``ST_BAD_REQUEST``).
+
+    >>> decode_name(string_to_words("memo.txt")), decode_name((0xFF00,))
+    ('memo.txt', '')
+    """
+    try:
+        return words_to_string(payload)
+    except ValueError:          # a bad length byte, or non-ASCII bytes
+        return ""
+
+
+def encode_names(names: Sequence[str]) -> Tuple[int, ...]:
+    """The LIST payload: each name as its word count, then its words.
+
+    >>> decode_names(encode_names(["a.txt", "SysDir"]))
+    ['a.txt', 'SysDir']
+    """
+    payload: List[int] = []
+    for name in names:
+        words = string_to_words(name)
+        payload.append(len(words))
+        payload.extend(words)
+    return tuple(payload)
+
+
+def decode_names(payload: Sequence[int]) -> List[str]:
+    """The names of a LIST payload built by :func:`encode_names`."""
+    names, index = [], 0
+    while index < len(payload):
+        count = payload[index]
+        names.append(words_to_string(payload[index + 1: index + 1 + count]))
+        index += 1 + count
+    return names
+
+
 def _decode_header(payload: Tuple[int, ...]):
     if len(payload) < HEADER_WORDS:
         raise ProtocolError(f"header packet has only {len(payload)} words, "
@@ -276,3 +319,31 @@ class FrameAssembler:
             return source, _build(partial.magic, partial.header[:5],
                                   tuple(partial.payload))
         return None
+
+
+def receive_frames(network, host: str, assembler: FrameAssembler,
+                   kind: type, errors) -> Iterator[Tuple[str, object]]:
+    """Drain *host*'s receive queue, yielding each complete frame of
+    *kind* as ``(source, frame)``.
+
+    A packet the assembler rejects, or a complete frame of the other
+    kind, counts one on the *errors* counter and is skipped; incomplete
+    frames wait in *assembler*.  The queue is read lazily, one packet
+    per step, so whatever the caller sends between frames is ordered
+    exactly as in a hand-written receive loop.
+    """
+    while True:
+        packet = network.receive(host)
+        if packet is None:
+            return
+        try:
+            completed = assembler.feed(packet)
+        except ProtocolError:
+            errors.inc()
+            continue
+        if completed is None:
+            continue
+        if not isinstance(completed[1], kind):
+            errors.inc()
+            continue
+        yield completed

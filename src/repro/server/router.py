@@ -10,11 +10,12 @@ throughput.
 
 **Frame rewriting.**  The router forwards a client's frame from a
 per-client *proxy* host (``fileserver.ws000`` for client ``ws000``), so
-every shard sees one session -- with its own at-most-once replay cache --
-per real client.  Handles are virtualized: the client holds router-issued
-handles, the router maps them to ``(shard, shard handle)`` pairs and
-rewrites the handle word in both directions, so a client's handle
-sequence is identical whether the cluster has one shard or eight.
+every shard sees one session per real client.  The router keeps its own
+:class:`~repro.server.session.Session` per client too -- the same class
+the engine uses.  Its handles resolve to ``(shard, shard handle)``
+pairs: the router rewrites the handle word in both directions, so a
+client's handle sequence is identical whether the cluster has one shard
+or eight.  Its replay cache answers retries of completed requests.
 
 **Parallel simulated time.**  Each shard machine owns its own
 :class:`~repro.clock.SimClock` (bound to its host via
@@ -44,7 +45,7 @@ ships the slot's files with the crash-safe protocol of
 are never lost: a write is only acknowledged after it executed on its
 shard, every serving poll flushes, and the slot cannot ship while any
 write to it is outstanding.  Retries of *completed* requests keep hitting
-the router's own per-client replay cache even after the name moved
+the router's own session replay cache even after the name moved
 shards -- requests are pinned at admission epoch, not re-hashed.
 
 >>> from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
@@ -68,15 +69,13 @@ True
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..clock import SimClock
-from ..errors import ProtocolError, ReproError, ServerError
+from ..errors import ReproError, ServerError
 from ..net.network import Packet, PacketNetwork
 from ..obs import CounterAttr
-from ..words import string_to_words, words_to_string
 from .engine import FileServer
 from .protocol import (
     OP_CLOSE,
@@ -91,11 +90,15 @@ from .protocol import (
     ST_BAD_REQUEST,
     ST_BUSY,
     ST_OK,
+    decode_name,
+    decode_names,
+    encode_names,
     encode_request,
     encode_response,
+    receive_frames,
 )
 from .rebalance import MANIFEST_NAME, Shipment, recover_shipment, ship_names
-from .session import MAX_HANDLE, REPLAY_CACHE_SIZE
+from .session import Session
 from .shardmap import RebalancePlan, ShardMap
 
 #: Default bound on requests in flight through the router, all shards.
@@ -114,27 +117,22 @@ _SYSTEM_NAMES = frozenset({"diskdescriptor", "sysdir"})
 
 
 @dataclass
-class _VirtualHandle:
-    """One client-visible handle: which shard holds the real one."""
-
-    shard: int
-    handle: int
-    name: str
-
-
-@dataclass
 class _InFlight:
     """One forwarded request awaiting its shard response(s)."""
 
+    session: Session                 #: the client's session at the router
     request: Request                 #: the client's original frame
     shard: Optional[int]             #: pinned shard; None for a scatter
     epoch: int                       #: map epoch at admission (the pin's why)
     name: Optional[str] = None       #: file name, when the op has one
     sent_us: int = 0                 #: router clock when first forwarded
-    packets: List[Packet] = field(default_factory=list)
-    scatter_packets: Dict[int, List[Packet]] = field(default_factory=dict)
-    pending_shards: Set[int] = field(default_factory=set)
-    names: Set[str] = field(default_factory=set)
+    #: The forwarded frame for each shard that still owes a response.
+    packets: Dict[int, List[Packet]] = field(default_factory=dict)
+    names: Set[str] = field(default_factory=set)   #: a scatter's gathered names
+
+    @property
+    def key(self) -> Tuple[str, int]:
+        return self.session.client, self.request.request_id
 
 
 class RouterStats:
@@ -157,30 +155,6 @@ class RouterStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self._FIELDS}
-
-
-class _ClientState:
-    """The router's per-client half: proxy identity, handles, replay cache."""
-
-    def __init__(self, client: str, proxy: str) -> None:
-        self.client = client
-        self.proxy = proxy
-        self.assembler = FrameAssembler()
-        self.vhandles: Dict[int, _VirtualHandle] = {}
-        self._next_vhandle = 1
-        self.replay: "OrderedDict[int, List[Packet]]" = OrderedDict()
-        self.inflight: "OrderedDict[int, _InFlight]" = OrderedDict()
-
-    def grant(self, shard: int, handle: int, name: str) -> int:
-        vhandle = self._next_vhandle
-        self._next_vhandle = vhandle % MAX_HANDLE + 1
-        self.vhandles[vhandle] = _VirtualHandle(shard, handle, name)
-        return vhandle
-
-    def remember(self, request_id: int, packets: List[Packet]) -> None:
-        self.replay[request_id] = packets
-        while len(self.replay) > REPLAY_CACHE_SIZE:
-            self.replay.popitem(last=False)
 
 
 def merge_names(name_sets) -> List[str]:
@@ -254,11 +228,15 @@ class ShardRouter:
         self.front_clock = SimClock()
         network.attach(self.host, queue_limit=4096, clock=self.front_clock)
         self.assembler = FrameAssembler()
-        self._states: "OrderedDict[str, _ClientState]" = OrderedDict()
+        #: One session per client, in first-contact order.
+        self.sessions: Dict[str, Session] = {}
+        #: Each client's proxy-host reassembly of shard responses.
+        self._assemblers: Dict[str, FrameAssembler] = {}
+        #: Every request in flight, keyed by ``(client, request id)``.
+        self._inflight: Dict[Tuple[str, int], _InFlight] = {}
         self._host_to_shard = {shard.host: index
                                for index, shard in enumerate(self.shards)}
         self._outstanding = [0] * len(self.shards)
-        self._pending = 0
         self._rebalance: Optional[RebalancePlan] = None
         registry = self.obs.registry
         self._c_polls = registry.counter("router.polls")
@@ -279,7 +257,7 @@ class ShardRouter:
         #: Scatter-gather fan-out sizes and per-request shard round trips
         #: (forward to final shard response, timestamped on the producing
         #: shard's link clock; the client-facing relay itself is charged
-        #: to the front clock -- see :meth:`_relay`).
+        #: to the front clock -- see :meth:`_answer`).
         self._h_scatter_fanout = registry.histogram("router.scatter_fanout")
         self._h_hop_us = registry.histogram("router.hop_us")
 
@@ -321,7 +299,7 @@ class ShardRouter:
     @property
     def pending(self) -> int:
         """Requests currently in flight through the router."""
-        return self._pending
+        return len(self._inflight)
 
     def set_qos(self, client: str, qos: str) -> None:
         """Assign *client* to a QoS class on every shard.
@@ -341,42 +319,34 @@ class ShardRouter:
         >>> router.shards[0].qos_of("fileserver.ws000")
         'bulk'
         """
-        proxy = f"{self.host}.{client}"
         for shard in self.shards:
-            shard.set_qos(proxy, qos)
+            shard.set_qos(self._proxy(client), qos)
+
+    def _proxy(self, client: str) -> str:
+        """The host *client*'s frames are forwarded from, and its shard
+        responses come back to."""
+        return f"{self.host}.{client}"
 
     # -- inbound: client frames ------------------------------------------------
 
     def _ingest(self) -> None:
-        while True:
-            packet = self.network.receive(self.host)
-            if packet is None:
-                return
-            try:
-                completed = self.assembler.feed(packet)
-            except ProtocolError:
-                self._c_errors.inc()
-                continue
-            if completed is None:
-                continue
-            client, frame = completed
-            if not isinstance(frame, Request):
-                self._c_errors.inc()
-                continue
-            self._route(client, frame)
+        for client, request in receive_frames(self.network, self.host,
+                                              self.assembler, Request,
+                                              self._c_errors):
+            self._route(client, request)
 
-    def _state(self, client: str) -> _ClientState:
-        state = self._states.get(client)
-        if state is None:
-            proxy = f"{self.host}.{client}"
-            self.network.attach(proxy, queue_limit=4096)
-            state = self._states[client] = _ClientState(client, proxy)
-        return state
+    def _session(self, client: str) -> Session:
+        session = self.sessions.get(client)
+        if session is None:
+            self.network.attach(self._proxy(client), queue_limit=4096)
+            session = self.sessions[client] = Session(client)
+            self._assemblers[client] = FrameAssembler()
+        return session
 
     def _route(self, client: str, request: Request) -> None:
-        state = self._state(client)
+        session = self._session(client)
         request_id = request.request_id
-        cached = state.replay.get(request_id)
+        cached = session.replay(request_id)
         if cached is not None:
             # The at-most-once answer survives rebalancing: the cache is
             # the router's own, keyed by client and id, not by shard.
@@ -384,178 +354,147 @@ class ShardRouter:
             for packet in cached:
                 self.network.send(packet)
             return
-        ctx = state.inflight.get(request_id)
+        ctx = self._inflight.get((client, request_id))
         if ctx is not None:
             # A retry of an unanswered request: re-forward to the shard
             # pinned at admission epoch -- never re-hash, the name may
             # have moved since and the pinned shard holds the replay.
             self._c_retransmits.inc()
-            self._retransmit(ctx)
+            self._send(ctx)
             return
         self.clock.advance_us(ROUTE_CPU_US, "router.cpu")
         self._c_requests.inc()
-        if self._pending >= self.max_pending:
-            self._c_rejected.inc()
-            self._respond_local(state, Response(ST_BUSY, request_id),
-                                remember=False)
+        if len(self._inflight) >= self.max_pending:
+            self._busy(session, request_id, self._c_rejected)
             return
         with self.obs.span("router.route", "router", op=request.op_name,
                            client=client, rid=request_id,
                            trace_id=f"{client}#{request_id}"):
             if request.op == OP_LIST:
-                self._route_scatter(state, request)
+                self._route_scatter(session, request)
             elif request.op == OP_OPEN:
-                self._route_open(state, request)
+                self._route_open(session, request)
             else:
-                self._route_handle_op(state, request)
+                self._route_handle_op(session, request)
 
-    def _route_open(self, state: _ClientState, request: Request) -> None:
-        try:
-            name = words_to_string(list(request.payload))
-        except Exception:
-            name = ""
+    def _route_open(self, session: Session, request: Request) -> None:
+        name = decode_name(request.payload)
         if not name:
-            self._respond_local(state, Response(ST_BAD_REQUEST,
-                                                request.request_id))
+            self._answer(session, Response(ST_BAD_REQUEST, request.request_id))
             return
         if self._paused(name):
-            self._c_paused.inc()
-            self._respond_local(state, Response(ST_BUSY, request.request_id),
-                                remember=False)
+            self._busy(session, request.request_id, self._c_paused)
             return
-        self._admit(state, request, self.shard_map.shard_of(name), name=name)
+        self._admit(session, request, self.shard_map.shard_of(name), name=name)
 
-    def _route_handle_op(self, state: _ClientState, request: Request) -> None:
-        vhandle = state.vhandles.get(request.handle)
-        if vhandle is None:
-            self._respond_local(state, Response(ST_BAD_HANDLE,
-                                                request.request_id))
+    def _route_handle_op(self, session: Session, request: Request) -> None:
+        handle = session.resolve(request.handle)
+        if handle is None:
+            self._answer(session, Response(ST_BAD_HANDLE, request.request_id))
             return
-        forward = Request(request.op, request.request_id,
-                          handle=vhandle.handle, arg0=request.arg0,
-                          arg1=request.arg1, payload=request.payload)
-        self._admit(state, request, vhandle.shard, name=vhandle.name,
-                    forward=forward)
+        shard, shard_handle = handle.file
+        self._admit(session, request, shard, name=handle.name,
+                    forward=replace(request, handle=shard_handle))
 
-    def _admit(self, state: _ClientState, request: Request, shard: int,
+    def _admit(self, session: Session, request: Request, shard: int,
                name: Optional[str] = None,
                forward: Optional[Request] = None) -> None:
         if self._outstanding[shard] >= self.per_shard_window:
-            self._c_rejected.inc()
-            self._respond_local(state, Response(ST_BUSY, request.request_id),
-                                remember=False)
+            self._busy(session, request.request_id, self._c_rejected)
             return
         packets = encode_request(forward if forward is not None else request,
-                                 state.proxy, self.shards[shard].host)
-        ctx = _InFlight(request=request, shard=shard,
-                        epoch=self.shard_map.epoch, name=name,
-                        sent_us=self.clock.now_us, packets=packets)
-        state.inflight[request.request_id] = ctx
-        self._pending += 1
-        self._outstanding[shard] += 1
-        self._g_pending.set(self._pending)
-        for packet in packets:
-            self.network.send(packet)
+                                 self._proxy(session.client),
+                                 self.shards[shard].host)
+        self._launch(_InFlight(session, request, shard,
+                               self.shard_map.epoch, name=name,
+                               sent_us=self.clock.now_us,
+                               packets={shard: packets}))
         self._c_forwarded.inc()
 
-    def _route_scatter(self, state: _ClientState, request: Request) -> None:
+    def _route_scatter(self, session: Session, request: Request) -> None:
         if any(count >= self.per_shard_window for count in self._outstanding):
-            self._c_rejected.inc()
-            self._respond_local(state, Response(ST_BUSY, request.request_id),
-                                remember=False)
+            self._busy(session, request.request_id, self._c_rejected)
             return
         with self.obs.span("router.scatter", "router", shards=len(self.shards)):
-            ctx = _InFlight(request=request, shard=None,
-                            epoch=self.shard_map.epoch,
-                            sent_us=self.clock.now_us)
+            proxy = self._proxy(session.client)
             self._h_scatter_fanout.observe(len(self.shards))
-            ctx.pending_shards = set(range(len(self.shards)))
-            for index, shard in enumerate(self.shards):
-                packets = encode_request(request, state.proxy, shard.host)
-                ctx.scatter_packets[index] = packets
-                self._outstanding[index] += 1
-                for packet in packets:
-                    self.network.send(packet)
-            state.inflight[request.request_id] = ctx
-            self._pending += 1
-            self._g_pending.set(self._pending)
+            self._launch(_InFlight(
+                session, request, None, self.shard_map.epoch,
+                sent_us=self.clock.now_us,
+                packets={index: encode_request(request, proxy, shard.host)
+                         for index, shard in enumerate(self.shards)}))
             self._c_scatters.inc()
 
-    def _retransmit(self, ctx: _InFlight) -> None:
-        if ctx.shard is not None:
-            for packet in ctx.packets:
+    # -- the in-flight table ---------------------------------------------------
+
+    def _launch(self, ctx: _InFlight) -> None:
+        """Put *ctx* in flight and forward it to every shard it names."""
+        self._inflight[ctx.key] = ctx
+        self._g_pending.set(len(self._inflight))
+        for index in ctx.packets:
+            self._outstanding[index] += 1
+        self._send(ctx)
+
+    def _send(self, ctx: _InFlight) -> None:
+        """(Re)send *ctx*'s frame to every shard that still owes a response."""
+        for packets in ctx.packets.values():
+            for packet in packets:
                 self.network.send(packet)
-            return
-        for index in sorted(ctx.pending_shards):
-            for packet in ctx.scatter_packets[index]:
-                self.network.send(packet)
+
+    def _drop(self, ctx: _InFlight) -> None:
+        """Take *ctx* out of flight: answered, shard busy, or shard lost."""
+        del self._inflight[ctx.key]
+        self._g_pending.set(len(self._inflight))
+        for index in ctx.packets:
+            self._outstanding[index] -= 1
+        ctx.packets = {}
 
     # -- outbound: shard responses ---------------------------------------------
 
     def _collect(self) -> None:
-        for state in list(self._states.values()):
-            if not self.network.pending(state.proxy):
+        for client, assembler in self._assemblers.items():
+            proxy = self._proxy(client)
+            if not self.network.pending(proxy):
                 continue        # a sleeping client costs the cycle nothing
-            while True:
-                packet = self.network.receive(state.proxy)
-                if packet is None:
-                    break
-                try:
-                    completed = state.assembler.feed(packet)
-                except ProtocolError:
-                    self._c_errors.inc()
-                    continue
-                if completed is None:
-                    continue
-                source, frame = completed
-                if not isinstance(frame, Response):
-                    self._c_errors.inc()
-                    continue
-                self._deliver(state, source, frame)
+            for source, response in receive_frames(self.network, proxy,
+                                                   assembler, Response,
+                                                   self._c_errors):
+                self._deliver(client, source, response)
 
-    def _deliver(self, state: _ClientState, source: str,
-                 response: Response) -> None:
-        ctx = state.inflight.get(response.request_id)
+    def _deliver(self, client: str, source: str, response: Response) -> None:
+        ctx = self._inflight.get((client, response.request_id))
         shard = self._host_to_shard.get(source)
-        if ctx is None or shard is None:
+        if ctx is None or shard is None or ctx.shard not in (None, shard):
+            # Nothing awaits it, or it came from a shard other than the pin.
             self._c_stale.inc()
             return
-        if ctx.shard is not None:
-            if shard != ctx.shard:
-                self._c_stale.inc()
-                return
-            self._finish(state, ctx, shard, response)
-        else:
-            self._gather(state, ctx, shard, response)
-
-    def _drop(self, state: _ClientState, ctx: _InFlight) -> None:
-        state.inflight.pop(ctx.request.request_id, None)
-        self._pending -= 1
-        self._g_pending.set(self._pending)
-        if ctx.shard is not None:
-            self._outstanding[ctx.shard] -= 1
-        else:
-            for index in ctx.pending_shards:
-                self._outstanding[index] -= 1
-            ctx.pending_shards = set()
-
-    def _finish(self, state: _ClientState, ctx: _InFlight, shard: int,
-                response: Response) -> None:
-        request_id = ctx.request.request_id
-        self._drop(state, ctx)
-        link = self.shards[shard].clock
         if response.status == ST_BUSY:
             # The shard never executed it: relay, forget, let the retry
             # be admitted (and routed) fresh.
-            self._c_shard_busy.inc()
-            self._relay(state, Response(ST_BUSY, request_id), link,
-                        remember=False)
+            self._drop(ctx)
+            self._busy(ctx.session, response.request_id, self._c_shard_busy,
+                       clock=self.front_clock)
             return
+        if shard not in ctx.packets:
+            self._c_stale.inc()
+            return
+        del ctx.packets[shard]
+        self._outstanding[shard] -= 1
+        if ctx.shard is None:
+            ctx.names.update(decode_names(response.payload))
+            if ctx.packets:
+                return
+            names = merge_names([ctx.names])
+            response = Response(ST_OK, response.request_id,
+                                result0=len(names), payload=encode_names(names))
+        else:
+            response = self._rewrite(ctx, shard, response)
+        self._drop(ctx)
         # The round trip through the shard, on the producing shard's link
         # clock (the router's own clock has not yet advanced to this
         # cycle's horizon when responses are collected).
-        self._observe_hop(link, ctx)
-        self._relay(state, self._rewrite(state, ctx, shard, response), link)
+        self._observe_hop(self.shards[shard].clock, ctx)
+        self._answer(ctx.session, response, clock=self.front_clock)
         self._c_relayed.inc()
 
     def _observe_hop(self, link, ctx: _InFlight) -> None:
@@ -564,100 +503,53 @@ class ShardRouter:
         assert hop_us >= 0, f"shard hop of {hop_us} us: link clock behind send"
         self._h_hop_us.observe(hop_us)
 
-    def _rewrite(self, state: _ClientState, ctx: _InFlight, shard: int,
+    def _rewrite(self, ctx: _InFlight, shard: int,
                  response: Response) -> Response:
         """Translate a shard response into the client's handle space."""
+        if not response.ok:
+            return response
         op = ctx.request.op
-        if op in (OP_OPEN, OP_READ, OP_WRITE) and response.ok:
+        if op == OP_OPEN:
             self.router_stats.rewrites += 1
-        if op == OP_OPEN and response.ok:
-            vhandle = state.grant(shard, response.handle, ctx.name)
-            return Response(ST_OK, response.request_id, handle=vhandle,
-                            result0=response.result0,
-                            result1=response.result1,
-                            payload=response.payload)
-        if op in (OP_READ, OP_WRITE) and response.ok:
-            return Response(ST_OK, response.request_id,
-                            handle=ctx.request.handle,
-                            result0=response.result0,
-                            result1=response.result1,
-                            payload=response.payload)
-        if op == OP_CLOSE and response.ok:
-            state.vhandles.pop(ctx.request.handle, None)
+            return replace(response, handle=ctx.session.grant(
+                (shard, response.handle), ctx.name))
+        if op in (OP_READ, OP_WRITE):
+            self.router_stats.rewrites += 1
+            return replace(response, handle=ctx.request.handle)
+        if op == OP_CLOSE:
+            ctx.session.release(ctx.request.handle)
         return response
 
-    def _gather(self, state: _ClientState, ctx: _InFlight, shard: int,
-                response: Response) -> None:
-        request_id = ctx.request.request_id
-        link = self.shards[shard].clock
-        if response.status == ST_BUSY:
-            self._c_shard_busy.inc()
-            self._drop(state, ctx)
-            self._relay(state, Response(ST_BUSY, request_id), link,
-                        remember=False)
-            return
-        if shard not in ctx.pending_shards:
-            self._c_stale.inc()
-            return
-        ctx.pending_shards.discard(shard)
-        self._outstanding[shard] -= 1
-        ctx.names.update(self._parse_names(response.payload))
-        if ctx.pending_shards:
-            return
-        state.inflight.pop(request_id, None)
-        self._pending -= 1
-        self._g_pending.set(self._pending)
-        self._observe_hop(link, ctx)
-        names = merge_names([ctx.names])
-        payload: List[int] = []
-        for name in names:
-            words = string_to_words(name)
-            payload.append(len(words))
-            payload.extend(words)
-        merged = Response(ST_OK, request_id, result0=len(names),
-                          payload=tuple(payload))
-        self._relay(state, merged, link)
-        self._c_relayed.inc()
+    def _busy(self, session: Session, request_id: int, counter,
+              clock: Optional[SimClock] = None) -> None:
+        """Answer ``ST_BUSY``, counted on *counter*.  Never cached: the
+        retry is admitted (and routed) fresh."""
+        counter.inc()
+        self._answer(session, Response(ST_BUSY, request_id), clock=clock,
+                     remember=False)
 
-    @staticmethod
-    def _parse_names(payload) -> List[str]:
-        names, words, index = [], list(payload), 0
-        while index < len(words):
-            count = words[index]
-            names.append(words_to_string(words[index + 1: index + 1 + count]))
-            index += 1 + count
-        return names
+    def _answer(self, session: Session, response: Response,
+                clock: Optional[SimClock] = None,
+                remember: bool = True) -> None:
+        """Send a response to the client, and cache it for retries.
 
-    def _relay(self, state: _ClientState, response: Response, link: SimClock,
-               remember: bool = True) -> None:
-        """Send a response to the client on the switch's **downlink**
-        (the front clock), and cache it for retries.
-
-        The shard's link already carried this response once, shard to
-        proxy, on the shard's own clock; relaying it proxy-to-client is
-        the client-facing half of the switch, which -- like the client
+        A router-generated answer (bad handle, bad request, busy) takes
+        :meth:`PacketNetwork.send`'s default clock.  A relayed shard
+        answer passes ``clock=front_clock``: the switch's **downlink**.  The
+        shard's link already carried the response once, shard to proxy,
+        on the shard's own clock; relaying it proxy-to-client is the
+        client-facing half of the switch, which -- like the client
         uplink -- is accounting, not cluster elapsed time.  Charging it
         to the shard again (as the PR-6 relay did) serialized every
         response's wire time twice on the shard clock and was the single
         largest term in the E15 capacity knee; moving it to the front
-        clock is what benchmark E17 measures.  *link* still timestamps
-        the hop histogram: the round trip is the shard's story.
+        clock is what benchmark E17 measures.
         """
-        del link  # the hop was observed by the caller; wire goes up front
-        packets = encode_response(response, self.host, state.client)
+        packets = encode_response(response, self.host, session.client)
         for packet in packets:
-            self.network.send(packet, clock=self.front_clock)
+            self.network.send(packet, clock=clock)
         if remember:
-            state.remember(response.request_id, packets)
-
-    def _respond_local(self, state: _ClientState, response: Response,
-                       remember: bool = True) -> None:
-        """A router-generated response (bad handle, bad request, busy)."""
-        packets = encode_response(response, self.host, state.client)
-        for packet in packets:
-            self.network.send(packet)
-        if remember:
-            state.remember(response.request_id, packets)
+            session.remember(response.request_id, packets)
 
     # ------------------------------------------------------------------------
     # Rebalancing
@@ -702,15 +594,13 @@ class ShardRouter:
                 and self.shard_map.slot_of(name) == self._rebalance.slot)
 
     def _slot_drained(self, slot: int) -> bool:
-        for state in self._states.values():
-            for vhandle in state.vhandles.values():
-                if self.shard_map.slot_of(vhandle.name) == slot:
+        for session in self.sessions.values():
+            for handle in session.handles.values():
+                if self.shard_map.slot_of(handle.name) == slot:
                     return False
-            for ctx in state.inflight.values():
-                if (ctx.name is not None
-                        and self.shard_map.slot_of(ctx.name) == slot):
-                    return False
-        return True
+        return not any(ctx.name is not None
+                       and self.shard_map.slot_of(ctx.name) == slot
+                       for ctx in self._inflight.values())
 
     def _rebalance_step(self) -> None:
         plan = self._rebalance
@@ -742,9 +632,9 @@ class ShardRouter:
         index.  What did die with the old machine is dropped here: requests
         in flight to it are forgotten (the clients' retries are admitted
         fresh and forwarded to the replacement), and virtual handles into
-        it are revoked (the shard's sessions are gone, so the next use
+        it are released (the shard's sessions are gone, so the next use
         answers ``ST_BAD_HANDLE`` and the client re-opens).  The router's
-        own per-client replay caches survive untouched: a retry of a
+        own session replay caches survive untouched: a retry of a
         request that completed *before* the crash still gets the cached
         response, never a re-execution -- at-most-once holds across the
         failover.
@@ -752,17 +642,13 @@ class ShardRouter:
         self.shards[index] = server
         self._host_to_shard = {shard.host: i
                                for i, shard in enumerate(self.shards)}
-        for state in self._states.values():
-            doomed = [rid for rid, ctx in state.inflight.items()
-                      if (ctx.shard == index
-                          or (ctx.shard is None
-                              and index in ctx.pending_shards))]
-            for rid in doomed:
-                self._drop(state, state.inflight[rid])
-            revoked = [vh for vh, vhandle in state.vhandles.items()
-                       if vhandle.shard == index]
-            for vh in revoked:
-                del state.vhandles[vh]
+        for ctx in [ctx for ctx in self._inflight.values()
+                    if index in ctx.packets]:
+            self._drop(ctx)
+        for session in self.sessions.values():
+            for handle in [handle for handle, open_ in session.handles.items()
+                           if open_.file[0] == index]:
+                session.release(handle)
         self._outstanding[index] = 0
         self.obs.registry.counter("router.promotions").inc()
 
@@ -827,4 +713,4 @@ class ShardRouter:
 
     def __repr__(self) -> str:
         return (f"ShardRouter({self.host!r}, shards={len(self.shards)}, "
-                f"pending={self._pending}, epoch={self.shard_map.epoch})")
+                f"pending={self.pending}, epoch={self.shard_map.epoch})")

@@ -12,12 +12,16 @@ from repro.server import (
     FileServer,
     OP_LIST,
     Request,
+    Response,
     ST_BAD_HANDLE,
     ST_BAD_PAGE,
     ST_BAD_REQUEST,
     ST_BUSY,
     ST_NOT_FOUND,
     ST_OK,
+    build_cluster,
+    encode_request,
+    encode_response,
 )
 
 
@@ -232,14 +236,41 @@ def test_read_only_poll_does_not_flush():
     assert server.stats()["server.flushes"] == flushes
 
 
-def test_malformed_packets_do_not_kill_the_server():
-    _, server, [client] = make_served()
+@pytest.mark.parametrize("front", ["engine", "router"])
+def test_malformed_packets_do_not_kill_the_server(front):
     from repro.net.network import Packet, TYPE_CONTROL
 
-    server.network.send(Packet("ws", "fileserver", TYPE_CONTROL, (0xBAD,) * 7))
-    server.poll()
-    assert server.stats()["server.errors"] == 1
-    assert client.listdir()                             # still serving
+    if front == "engine":
+        _, server, [client] = make_served()
+    else:
+        system = build_cluster(clients=1, shards=2, tiny=True)
+        server, [client] = system.router, system.clients
+        client.pump = server.poll
+    assert client.listdir()           # first contact: the router's proxy host
+    prefix = "server" if front == "engine" else "router"
+    host = server.host
+    cases = [
+        ([Packet(client.host, host, TYPE_CONTROL, (0xBAD,) * 7)], "errors"),
+        (encode_response(Response(ST_OK, 1), client.host, host), "errors"),
+    ]
+    if front == "router":
+        proxy = f"{host}.{client.host}"
+        shard = server.shards[0].host
+        cases += [
+            (encode_request(Request(OP_LIST, 1), shard, proxy), "errors"),
+            (encode_response(Response(ST_OK, 999), shard, proxy), "stale"),
+        ]
+    for packets, counter in cases:
+        before = server.stats()
+        for packet in packets:
+            server.network.send(packet)
+        server.poll()
+        after = server.stats()
+        for name in ("errors", "stale"):
+            key = f"{prefix}.{name}"
+            grew = after.get(key, 0) - before.get(key, 0)
+            assert grew == (1 if name == counter else 0), key
+        assert client.listdir()                         # still serving
 
 
 def test_poll_returns_served_count_and_stats_accumulate():

@@ -194,7 +194,7 @@ def drive_workload(client):
 
 
 def test_one_shard_cluster_is_observationally_equivalent_to_pr5_server():
-    plain = build_system(clients=1, seed=11, tiny=True)
+    plain = build_system(clients=1, tiny=True)
     [plain_client] = plain.clients
     plain_client.pump = plain.server.poll
     cluster = make_cluster(clients=1, shards=1, seed=11)

@@ -84,8 +84,8 @@ def test_unanswered_retry_stays_pinned_to_its_admission_shard():
     request = client.build_open("pinned.dat", create=True)
     pending = client.submit(request)
     router._ingest()
-    state = router._states[client.host]
-    ctx = state.inflight[request.request_id]
+    key = (client.host, request.request_id)
+    ctx = router._inflight[key]
     pinned_shard = ctx.shard
     assert ctx.epoch == router.shard_map.epoch
 
@@ -102,7 +102,7 @@ def test_unanswered_retry_stays_pinned_to_its_admission_shard():
         system.network.send(packet)
     router._ingest()
     assert router.stats()["router.retransmits"] == retransmits_before + 1
-    assert state.inflight[request.request_id].shard == pinned_shard
+    assert router._inflight[key].shard == pinned_shard
 
     # Put the map back; the request completes normally end to end.
     router.shard_map.assignment[slot] = pinned_shard
