@@ -276,6 +276,10 @@ class CachedDrive(DiskDrive):
             and not any((address, part) in self.image.checksum_bad for part in needed)
         )
         if not servable:
+            if entry is not None and entry.dirty:
+                # Never read around a buffered write: the platter copy is
+                # stale until the entry is written back.
+                self.flush_address(address)
             self.cache_stats.misses += 1
             return self._pass_through(address, commands)
         self._require_uncrashed()
@@ -476,7 +480,7 @@ class CachedDrive(DiskDrive):
     def _platter_words(self, address: int, part: str) -> List[int]:
         """A fresh copy of a part's packed words straight from the platter
         (the cache entry owns its lists, so it must not alias the sector's)."""
-        sector = self.image.sector(address)
+        sector = self.image.peek(address)
         if part == "header":
             return list(sector.header_words())
         if part == "label":
@@ -493,4 +497,4 @@ class CachedDrive(DiskDrive):
         entry = self._entries.get(address)
         if entry is not None and entry.dirty and entry.value is not None:
             return list(entry.value)
-        return list(self.image.sector(address).value)
+        return list(self.image.peek(address).value)

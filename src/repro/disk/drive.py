@@ -430,6 +430,7 @@ class DiskDrive:
     def _write_part(self, sector: Sector, address: int, part: str, data: Sequence[int]) -> None:
         if len(data) != _PART_SIZES[part]:
             raise ValueError(f"{part} write buffer must be {_PART_SIZES[part]} words")
+        self.image.generation += 1
         data = list(data)
         if self.fault_injector is not None:
             # The injector may hand back a list it also keeps; re-copy so
@@ -588,7 +589,7 @@ class DiskDrive:
         the platter; a caching drive (:class:`repro.disk.cache.CachedDrive`)
         answers from its buffer when a write is pending, so a label rewrite
         that streams the value back out never resurrects stale words."""
-        return list(self.image.sector(address).value)
+        return list(self.image.peek(address).value)
 
     def write_header_label_value(
         self, address: int, header: Header, label: Label, value: Sequence[int]

@@ -6,6 +6,15 @@ the oxide".  Keeping it separate lets crash tests snapshot a pack, lets the
 fault injector corrupt it behind the drive's back, and lets two independent
 software stacks mount the same pack (the openness property of section 1:
 the on-disk representation is the interface).
+
+``generation`` counts changes: every route that can alter a sector bumps
+it -- the drive's part-writes, the accessors that hand out a mutable
+:class:`Sector` (:meth:`DiskImage.sector`, :meth:`DiskImage.sectors`,
+:meth:`DiskImage.set_sector`) and :meth:`DiskImage.restore`.  The
+read-only views (:meth:`DiskImage.peek`, :meth:`DiskImage.scan`) leave
+it alone, so a reader that saw generation *g* and sees *g* again knows
+the platter is byte-for-byte what it saw.  The fault-tracking sets are not
+sector contents and do not move it.
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ class DiskImage:
         #: reads fail until the part is rewritten (real disks detect an
         #: interrupted write this way -- the CRC never got laid down).
         self.checksum_bad: set = set()
+        #: Bumped by every route that can change a sector (module docstring).
+        self.generation = 0
 
     # -- access ---------------------------------------------------------------
 
@@ -50,20 +61,45 @@ class DiskImage:
         return sector
 
     def sector(self, address: int) -> Sector:
-        """The sector at *address* (validated against the shape)."""
+        """The sector at *address* (validated against the shape), handed
+        out for mutation: bumps ``generation``."""
         self.shape.check_address(address)
+        self.generation += 1
         return self._materialize(address)
 
     def set_sector(self, address: int, sector: Sector) -> None:
         self.shape.check_address(address)
+        self.generation += 1
         self._sectors[address] = sector
+
+    def peek(self, address: int) -> Sector:
+        """The sector at *address* for reading only: the caller must not
+        mutate it, and ``generation`` does not move."""
+        self.shape.check_address(address)
+        return self._materialize(address)
 
     def __len__(self) -> int:
         return len(self._sectors)
 
     def sectors(self) -> Iterator[Sector]:
-        """All sectors in physical order."""
-        return (self._materialize(address) for address in range(len(self._sectors)))
+        """All sectors in physical order, handed out for mutation: each
+        one yielded bumps ``generation``."""
+        for address in range(len(self._sectors)):
+            self.generation += 1
+            yield self._materialize(address)
+
+    def scan(self) -> Iterator[Sector]:
+        """All sectors in physical order, for reading only (see :meth:`peek`).
+
+        Materializes the untouched ones first (as iterating :meth:`sectors`
+        would), then walks the list itself: a full-pack check runs this on
+        every changed slice boundary, so no per-sector Python call."""
+        sectors = self._sectors
+        if None in sectors:
+            for address, sector in enumerate(sectors):
+                if sector is None:
+                    self._materialize(address)
+        return iter(sectors)
 
     # -- whole-pack operations --------------------------------------------------
 
@@ -76,6 +112,7 @@ class DiskImage:
         clone._sectors = [None if s is None else s.copy() for s in self._sectors]
         clone.bad_media = set(self.bad_media)
         clone.checksum_bad = set(self.checksum_bad)
+        clone.generation = 0  # a new pack: its changes are its own
         return clone
 
     def digest(self) -> str:
@@ -115,6 +152,7 @@ class DiskImage:
         self._sectors = [None if s is None else s.copy() for s in snapshot._sectors]
         self.bad_media = set(snapshot.bad_media)
         self.checksum_bad = set(snapshot.checksum_bad)
+        self.generation += 1
 
     # -- statistics (used by tests and benchmarks) -------------------------------
 

@@ -96,7 +96,7 @@ def check_image(image: DiskImage) -> CheckReport:
     files: Dict[Tuple[int, int], Dict[int, object]] = {}
 
     # -- pass 1: labels ----------------------------------------------------------
-    for sector in image.sectors():
+    for sector in image.scan():
         label = sector.label
         address = sector.header.address
         if label.is_free:
@@ -165,7 +165,7 @@ def check_image(image: DiskImage) -> CheckReport:
     descriptor = _read_descriptor(image, files, report)
     if descriptor is not None:
         allocator = descriptor.allocator()
-        for sector in image.sectors():
+        for sector in image.scan():
             if sector.label.in_use and allocator.is_free(sector.header.address):
                 report.note("map-lies-free", sector.header.address,
                             "allocation map calls an in-use page free")

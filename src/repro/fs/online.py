@@ -27,9 +27,17 @@ the same label-check disciplines as the offline tools:
   ordinary scavenger resolves -- the identical discipline the offline
   compactor relies on.
 
-At every slice boundary the live view is verified with
+Every slice boundary gets a verdict from
 :func:`~repro.fs.fsck.check_image` (pure state inspection: no simulated
-time).  Two issue kinds are tolerated while the system is live: a
+time).  The check is a function of the platter alone -- every label is
+self-identifying (section 3.3) -- so after the boundary flush a full scan
+runs only when a sector changed since the last one, which
+:attr:`DiskImage.generation <repro.disk.image.DiskImage.generation>` tells:
+most slices of a patrol read labels and write nothing, and their boundary
+reuses the previous report.  In case change tracking misses a route, every
+``_CROSS_CHECK_EVERY``-th reused verdict is audited by a full rescan, and
+a rescan that disagrees raises :class:`MaintenanceInvariantError`.  Two
+issue kinds are tolerated while the system is live: a
 ``ragged-end`` is a pre-existing absolute (the scavenger will not invent
 data lengths), and ``map-lies-free`` is the designed drift of the on-disk
 map hint between syncs.  Damage already on the pack when maintenance
@@ -56,7 +64,7 @@ from ..errors import (
 )
 from ..words import ones_words
 from .descriptor import BOOT_PAGE_ADDRESS, DESCRIPTOR_LEADER_ADDRESS
-from .fsck import check_image
+from .fsck import CheckReport, check_image
 from .names import FileId, FullName, page_number_from_label
 from .scavenger import Scavenger
 
@@ -76,6 +84,10 @@ PHASE_DONE = "done"
 
 _PHASE_CODES = {PHASE_SWEEP: 1, PHASE_COMPACT: 2, PHASE_DONE: 0}
 
+#: Every this-many reused boundary verdicts, one is recomputed by a full
+#: scan and must agree (the audit against leaky change tracking).
+_CROSS_CHECK_EVERY = 64
+
 
 class MaintenanceInvariantError(FileSystemError):
     """A slice boundary found the live view inconsistent."""
@@ -94,6 +106,7 @@ class MaintenanceReport:
     pages_moved: int = 0
     moves_skipped: int = 0
     checks_passed: int = 0
+    full_checks: int = 0  # full-pack scans run (boundary verdicts + audits)
     syncs: int = 0
     issues_seen: List[str] = field(default_factory=list)
 
@@ -154,6 +167,11 @@ class OnlineMaintenance:
         #: Pre-existing issues, captured at the first slice boundary;
         #: never held against the pass (see module docstring).
         self._baseline: Optional[set] = None
+        #: The last full scan's report and the ``(image, generation)`` it
+        #: saw; a boundary with the same key reuses the report.
+        self._verdict: Optional[CheckReport] = None
+        self._verdict_key: Optional[tuple] = None
+        self._reused = 0
         self._total = self.drive.shape.total_sectors()
         self._sweep_cursor = 0
         self._compact_cursor = self._total - 1
@@ -165,6 +183,7 @@ class OnlineMaintenance:
         self._c_garbage = registry.counter("fs.maint.garbage_freed")
         self._c_moves = registry.counter("fs.maint.pages_moved")
         self._c_checks = registry.counter("fs.maint.slice_checks")
+        self._c_full_checks = registry.counter("fs.maint.full_checks")
         self._g_phase = registry.gauge("fs.maint.phase")
         self._g_cursor = registry.gauge("fs.maint.cursor")
         self._g_phase.set(_PHASE_CODES[self.phase])
@@ -401,7 +420,7 @@ class OnlineMaintenance:
         if not self.verify:
             return
         self.fs.flush()  # the platter must hold the logically current state
-        report = check_image(self.drive.image)
+        report = self._boundary_report()
         self._c_checks.inc()
         self.report.checks_passed += 1
         if self._baseline is None:
@@ -419,3 +438,27 @@ class OnlineMaintenance:
                 f"{self.report.slices}) is inconsistent: "
                 + "; ".join(str(issue) for issue in fatal[:5])
             )
+
+    def _boundary_report(self) -> CheckReport:
+        """``check_image`` of the platter as it is now, rescanning only if a
+        sector changed since the last scan (plus the periodic audit)."""
+        image = self.drive.image
+        key = (image, image.generation)
+        if key != self._verdict_key:
+            self._verdict = self._full_check(image)
+            self._verdict_key = key
+            return self._verdict
+        self._reused += 1
+        if self._reused % _CROSS_CHECK_EVERY == 0:
+            fresh = self._full_check(image)
+            if fresh != self._verdict:
+                raise MaintenanceInvariantError(
+                    f"slice boundary (phase {self.phase}, slice "
+                    f"{self.report.slices}): a sector changed without moving "
+                    f"the pack's generation; the reused verdict is stale")
+        return self._verdict
+
+    def _full_check(self, image) -> CheckReport:
+        self.report.full_checks += 1
+        self._c_full_checks.inc()
+        return check_image(image)

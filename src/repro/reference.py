@@ -141,6 +141,7 @@ def make_reference_drive(image, clock=None, fault_injector=None, **kwargs):
         def _write_part(self, sector, address, part, data):
             if len(data) != _PART_SIZES[part]:
                 raise ValueError(f"{part} write buffer must be {_PART_SIZES[part]} words")
+            self.image.generation += 1
             data = list(data)
             if self.fault_injector is not None:
                 data = self.fault_injector.filter_write(self, address, part, data)

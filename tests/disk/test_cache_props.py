@@ -332,3 +332,18 @@ class TestStaleCleanEntries:
         # Checking against the OLD label now fails for real.
         with pytest.raises(LabelCheckError):
             cached.check_label_read_value(5, page_label(5))
+
+
+class TestReadAroundBufferedWrite:
+    def test_full_sector_read_returns_the_buffered_value(self):
+        """A read the cache cannot serve (here: the header was never
+        cached) must not go around a buffered write: the platter copy is
+        stale until the entry is written back, and the buffered data must
+        survive the read."""
+        image = DiskImage(tiny_test_disk())
+        cached = CachedDrive(image)
+        cached.check_label_then_rewrite(5, Label.free(), page_label(5), value_for(1))
+        cached.check_label_write_value(5, page_label(5), value_for(2))  # buffered
+        assert list(cached.read_sector(5).value) == value_for(2)
+        cached.flush()
+        assert list(image.peek(5).value) == value_for(2)

@@ -69,3 +69,78 @@ class TestStatistics:
         grouped = image.labels_by_serial()
         assert len(grouped) == 1
         assert len(grouped[0x4000_0009]) == 2
+
+
+class TestGeneration:
+    """``generation`` moves on every route that can change a sector, and
+    only on those."""
+
+    def test_mutable_accessors_bump(self, image):
+        start = image.generation
+        image.sector(3)
+        assert image.generation == start + 1
+        image.set_sector(4, Sector.fresh(image.pack_id, 4))
+        assert image.generation == start + 2
+        before = image.generation
+        for _ in image.sectors():
+            pass
+        assert image.generation == before + len(image)
+
+    def test_read_only_views_do_not_bump(self, image):
+        start = image.generation
+        image.peek(3)
+        list(image.scan())
+        image.digest()
+        image.count_free()
+        assert image.generation == start
+
+    def test_drive_part_writes_bump_and_reads_do_not(self, image):
+        from repro.disk import DiskDrive
+
+        drive = DiskDrive(image)
+        label = Label(serial=0x4000_0001, version=1, page_number=1, length=0)
+        start = image.generation
+        drive.write_label_value(7, label, [1] * len(image.peek(7).value))
+        assert image.generation == start + 2          # label + value parts
+        wrote = image.generation
+        drive.read_sector(7)
+        drive.read_label(8)
+        drive.check_label_read_value(7, label)
+        assert image.generation == wrote
+
+    def test_cached_drive_bumps_when_the_flush_reaches_the_platter(self, image):
+        from repro.disk import CachedDrive
+
+        drive = CachedDrive(image)
+        label = Label(serial=0x4000_0001, version=1, page_number=1, length=0)
+        words = len(image.peek(7).value)
+        start = image.generation
+        drive.write_label_value(7, label, [1] * words)    # written through
+        assert image.generation == start + 2
+        through = image.generation
+        drive.check_label_write_value(7, label, [2] * words)  # buffered
+        drive.check_label_read_value(7, label)            # a cache hit
+        assert image.generation == through
+        assert drive.flush() == 1
+        assert image.generation > through
+        assert image.peek(7).value == [2] * words
+
+    def test_check_image_does_not_bump(self, fs):
+        from repro.fs.fsck import check_image
+
+        image = fs.drive.image
+        start = image.generation
+        check_image(image)
+        assert image.generation == start
+
+    def test_snapshot_counter_is_independent_and_restore_bumps(self, image):
+        image.sector(0)
+        snap = image.snapshot()
+        source, copy = image.generation, snap.generation
+        image.sector(1)
+        assert snap.generation == copy
+        snap.sector(2)
+        assert image.generation == source + 1
+        before = image.generation
+        image.restore(snap)
+        assert image.generation == before + 1

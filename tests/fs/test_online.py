@@ -8,25 +8,32 @@ consistency check, and that a server interleaving slices with request
 service corrupts nothing.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
+from repro.disk import FaultPlan
 from repro.disk.sector import Label
+from repro.errors import ReproError
 from repro.fs.descriptor import BOOT_PAGE_ADDRESS
 from repro.fs.fsck import check_image
 from repro.fs.online import (
+    _CROSS_CHECK_EVERY,
     DEFAULT_BUDGET_US,
     MaintenanceInvariantError,
     OnlineMaintenance,
     PHASE_DONE,
     PHASE_SWEEP,
 )
+from repro.server.replica import apply_record
 
 GARBAGE_LABEL = Label(serial=0x0042, version=1, page_number=1, length=0)
 
 
-def build_fs(files=3):
-    fs = FileSystem.format(DiskDrive(DiskImage(tiny_test_disk())))
+def build_fs(files=3, cylinders=8):
+    fs = FileSystem.format(DiskDrive(DiskImage(tiny_test_disk(cylinders))))
     for i in range(files):
         fs.create_file(f"f{i}.dat").write_data(bytes([i]) * (600 + 100 * i))
     return fs
@@ -171,3 +178,161 @@ def test_maintenance_interleaves_with_request_service():
     assert report.garbage_labels_freed == 2
     assert report.checks_passed > 0
     assert not check_image(fs.drive.image).issues
+
+
+def test_maintenance_counters_count_verdicts_and_full_scans():
+    fs = build_fs()
+    maint = OnlineMaintenance(fs)
+    report = maint.run_to_completion()
+    stats = fs.drive.clock.obs.stats()
+    assert stats["fs.maint.slice_checks"] == report.checks_passed == report.slices
+    assert stats["fs.maint.full_checks"] == report.full_checks
+    # Most slices of a pass read labels and write nothing: their boundary
+    # reuses the last scan's verdict.
+    assert 0 < report.full_checks < report.checks_passed
+
+
+# ----------------------------------------------------------------------------
+# Reused verdicts: the memo must always equal a fresh check_image
+# ----------------------------------------------------------------------------
+
+def _fatal(maint, report):
+    return [issue for issue in report.issues
+            if issue.kind not in maint.tolerated
+            and (issue.kind, issue.address) not in maint._baseline]
+
+
+def _assert_verdict_is_fresh(maint, raised):
+    """The verdict the last boundary used equals a fresh full check."""
+    fresh = check_image(maint.drive.image)
+    verdict = maint._verdict
+    assert Counter(verdict.issues) == Counter(fresh.issues)
+    assert ((verdict.files, verdict.directories, verdict.free_pages,
+             verdict.bad_pages)
+            == (fresh.files, fresh.directories, fresh.free_pages,
+                fresh.bad_pages))
+    assert raised == bool(_fatal(maint, fresh))
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["create", "write", "shrink", "delete"]),
+              st.integers(0, 3), st.integers(0, 1500)),
+    # corrupt: flip bit (y % 16) of label word (y % 7) at address x
+    st.tuples(st.just("corrupt"), st.integers(0, 191), st.integers(0, 111)),
+    st.tuples(st.just("step"), st.integers(1, 6), st.just(0)),
+), max_size=25)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=_OPS)
+@example(ops=[("step", 2, 0), ("corrupt", 5, 14), ("step", 1, 0)])
+def test_reused_verdict_always_equals_a_fresh_check(ops):
+    """Random file operations and FaultPlan label corruptions interleaved
+    with slices: after every step the maintainer's verdict -- reused or
+    rescanned -- is exactly what a full check of the pack says now, and
+    the step raised iff that check holds damage past the baseline."""
+    fs = build_fs(files=2)
+    image = fs.drive.image
+    plan = FaultPlan(image, seed=0)
+    maint = OnlineMaintenance(fs, continuous=True)
+    for kind, x, y in ops:
+        if kind == "step":
+            for _ in range(x):
+                try:
+                    maint.step()
+                    raised = False
+                except MaintenanceInvariantError:
+                    raised = True
+                _assert_verdict_is_fresh(maint, raised)
+                if raised:
+                    return
+        elif kind == "corrupt":
+            plan.flip_bits(x, "label", y % 7, 1 << (y % 16))
+        else:
+            name = f"p{x}.dat"
+            try:
+                if kind == "create":
+                    fs.create_file(name).write_data(bytes([x]) * y)
+                elif kind == "write":
+                    fs.open_file(name).write_data(bytes([y & 0xFF]) * y)
+                elif kind == "shrink":
+                    handle = fs.open_file(name)
+                    handle.write_data(handle.read_data()[: y % 600])
+                else:
+                    fs.delete_file(name)
+            except ReproError:
+                pass  # missing file, full pack, or a corrupted neighbour
+
+
+# ----------------------------------------------------------------------------
+# Every route that changes a sector forces a rescan
+# ----------------------------------------------------------------------------
+
+def _garbage_via_sector(image, address):
+    image.sector(address).set_label_words(GARBAGE_LABEL.pack())
+
+
+def _garbage_via_set_sector(image, address):
+    sector = image.peek(address).copy()
+    sector.set_label_words(GARBAGE_LABEL.pack())
+    image.set_sector(address, sector)
+
+
+def _garbage_via_restore(image, address):
+    snapshot = image.snapshot()
+    snapshot.sector(address).set_label_words(GARBAGE_LABEL.pack())
+    image.restore(snapshot)
+
+
+def _garbage_via_replica_record(image, address):
+    apply_record(image, address, "label", GARBAGE_LABEL.pack())
+
+
+def _garbage_via_fault_plan(image, address):
+    plan = FaultPlan(image, seed=0)
+    old = image.peek(address).label_words()
+    for word, (have, want) in enumerate(zip(old, GARBAGE_LABEL.pack())):
+        plan.flip_bits(address, "label", word, have ^ want)
+
+
+def _idle_patrol():
+    """A maintainer two slices into its sweep (baseline captured, last
+    verdict reused) and a free sector far above the sweep cursor."""
+    fs = build_fs(cylinders=30)
+    maint = OnlineMaintenance(fs)
+    maint.step()
+    maint.step()
+    address = fs.drive.shape.total_sectors() - 2
+    assert fs.drive.image.peek(address).label.is_free
+    assert maint.report.full_checks == 1 and maint.report.checks_passed == 2
+    return fs, maint, address
+
+
+@pytest.mark.parametrize("route", [
+    _garbage_via_sector,
+    _garbage_via_set_sector,
+    _garbage_via_restore,
+    _garbage_via_replica_record,
+    _garbage_via_fault_plan,
+], ids=lambda route: route.__name__.replace("_garbage_via_", ""))
+def test_every_mutation_route_forces_a_full_scan(route):
+    fs, maint, address = _idle_patrol()
+    route(fs.drive.image, address)
+    with pytest.raises(MaintenanceInvariantError,
+                       match=rf"slice 3\) is inconsistent: "
+                             rf"\[garbage-label @{address}\]"):
+        maint.step()
+    assert maint.report.full_checks == 2
+
+
+def test_a_write_the_generation_misses_fails_the_cross_check():
+    fs, maint, address = _idle_patrol()
+    image = fs.drive.image
+    sector = image.peek(address).copy()
+    sector.set_label_words(GARBAGE_LABEL.pack())
+    image._sectors[address] = sector            # no accessor: generation misses it
+    with pytest.raises(MaintenanceInvariantError, match="reused verdict is stale"):
+        for _ in range(_CROSS_CHECK_EVERY):
+            maint.step()
+    assert maint.report.full_checks == 2        # only the audit rescanned
+    assert maint.report.slices <= 2 + _CROSS_CHECK_EVERY
