@@ -144,8 +144,8 @@ def test_ten_thousand_sessions_one_server():
 def test_knee_is_strictly_above_the_pr8_capacity():
     saturated = saturation_point(SATURATED_RPS)
     assert saturated.errors == 0
-    assert saturated.achieved_rps > OLD_KNEE_RPS, (
-        f"capacity regressed: plateau {saturated.achieved_rps} req/s is not "
+    assert saturated.requests_per_sec > OLD_KNEE_RPS, (
+        f"capacity regressed: plateau {saturated.requests_per_sec} req/s is not "
         f"above the old {OLD_KNEE_RPS} req/s knee")
 
 
@@ -183,18 +183,18 @@ def bench(profile: str = "full"):
     ))
 
     saturated = saturation_point(SATURATED_RPS)
-    assert saturated.achieved_rps > OLD_KNEE_RPS, (
-        f"capacity regressed below the PR-8 knee: {saturated.achieved_rps}")
+    assert saturated.requests_per_sec > OLD_KNEE_RPS, (
+        f"capacity regressed below the PR-8 knee: {saturated.requests_per_sec}")
     results.append(report(
         "E17",
         f"engine restructure moves the 4-shard knee above {OLD_KNEE_RPS} req/s",
         f"{SATURATED_RPS} req/s offered: plateau "
-        f"{saturated.achieved_rps:.0f} req/s "
+        f"{saturated.requests_per_sec:.0f} req/s "
         f"(old knee {OLD_KNEE_RPS} req/s)",
         name="E17.knee_plateau",
         simulated_seconds=saturated.elapsed_s,
         cached=True,
-        achieved_rps=saturated.achieved_rps,
+        achieved_rps=saturated.requests_per_sec,
         old_knee_rps=OLD_KNEE_RPS,
         p99_ms=saturated.p99_hist_ms,
     ))

@@ -50,17 +50,16 @@ def _row(result, rate: int):
         "E15",
         "(sec 5.2) offered load vs latency: the saturation curve",
         f"{rate} req/s offered at {SHARDS} shards: "
-        f"achieved {result.achieved_rps:.1f} req/s, "
+        f"achieved {result.requests_per_sec:.1f} req/s, "
         f"p50 {result.p50_hist_ms:.2f}ms, p99 {result.p99_hist_ms:.2f}ms",
         name=f"E15.saturation_{rate}rps",
         simulated_seconds=result.elapsed_s,
         cached=True,
-        offered_rps=result.offered_rps,
-        achieved_rps=result.achieved_rps,
+        offered_rps=rate,
+        achieved_rps=result.requests_per_sec,
         p50_ms=result.p50_hist_ms,
         p99_ms=result.p99_hist_ms,
-        offered=result.offered,
-        completed=result.completed,
+        requests=result.requests,
         errors=result.errors,
     )
 
@@ -68,9 +67,8 @@ def _row(result, rate: int):
 def test_below_knee_keeps_up_and_stays_fast():
     result = saturation_point(200)
     assert result.errors == 0
-    assert result.completed == result.offered
     # Achieved tracks offered within the rounding of a finite window.
-    assert abs(result.achieved_rps - 200) / 200 < 0.10
+    assert abs(result.requests_per_sec - 200) / 200 < 0.10
     assert result.p99_hist_ms < 50
 
 
@@ -82,7 +80,7 @@ def test_past_knee_p99_explodes():
     # orders of magnitude above the uncongested tail.
     assert above.p99_hist_ms > below.p99_hist_ms * 10
     # ... while achieved throughput caps at cluster capacity.
-    assert above.achieved_rps < 6400 * 0.5
+    assert above.requests_per_sec < 6400 * 0.5
 
 
 def test_open_loop_is_deterministic():
@@ -108,7 +106,7 @@ def bench(profile: str = "full"):
     for rate, result in by_rate.items():
         assert result.errors == 0, f"open-loop run at {rate} req/s saw errors"
         if rate <= BELOW_KNEE_RPS:
-            assert abs(result.achieved_rps - rate) / rate < 0.10, (
+            assert abs(result.requests_per_sec - rate) / rate < 0.10, (
                 f"below the knee the cluster must keep up: offered {rate}, "
-                f"achieved {result.achieved_rps}")
+                f"achieved {result.requests_per_sec}")
     return results

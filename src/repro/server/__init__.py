@@ -39,7 +39,6 @@ from .loadgen import (
     LoadGenerator,
     LoadResult,
     ServedSystem,
-    SessionStormResult,
     build_cluster,
     build_system,
     run_session_storm,
@@ -136,7 +135,6 @@ __all__ = [
     "ST_TOO_LARGE",
     "ServedSystem",
     "Session",
-    "SessionStormResult",
     "ShardMap",
     "ShardRouter",
     "Shipment",

@@ -1,16 +1,16 @@
 """The load generator: a deterministic multi-client request schedule.
 
 Builds N clients, gives each a seeded script (upload a private file, read
-it back in batched sequential READs, list the directory), and drives all
-of them **concurrently**: each driver round lets every idle client issue
-its next request, runs one ``server.poll()`` (which services the whole
-admitted batch and flushes once), then collects responses and latencies.
-:meth:`LoadGenerator.run_sequential` replays the identical scripts one
-client at a time -- the baseline that shows what multiplexing buys.
+it back in batched sequential READs, list the directory), and runs them
+through :func:`drive`, the one submit/poll/step loop -- all at once
+(:meth:`LoadGenerator.run`) or one client at a time
+(:meth:`~LoadGenerator.run_sequential`, the baseline that shows what
+multiplexing buys).  The open loop and the session storm only build
+other scripts, and every mode reports one :class:`LoadResult`.
 
 Everything derives from one seed, so two runs with the same seed and
 schedule produce byte-identical disk images and identical metrics
-snapshots (``tests/server/test_determinism.py`` proves it).
+snapshots (``tests/server/test_loadgen.py`` proves it).
 
 >>> from repro.server.loadgen import build_system, LoadGenerator
 >>> system = build_system(clients=2)
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from ..disk.cache import CachedDrive
 from ..disk.drive import DiskDrive
@@ -106,7 +106,7 @@ class ClusterSystem:
 
     Quacks like :class:`ServedSystem` where the load generator cares
     (``server`` polls, ``clock`` is elapsed time, ``clients`` drive), so
-    the same :class:`LoadGenerator` runs against both.
+    the same :func:`drive` runs against both.
     """
 
     shards: List[FileServer]
@@ -178,185 +178,35 @@ def build_cluster(
 
 @dataclass
 class LoadResult:
-    """Aggregate outcome of one load run (all times simulated)."""
+    """Aggregate outcome of one load run in any mode (times simulated);
+    ``mode`` is ``concurrent``, ``sequential``, ``open-loop`` or ``storm``."""
 
     mode: str
     clients: int
     requests: int
+    errors: int
     elapsed_s: float
     requests_per_sec: float
     p50_ms: float
     p99_ms: float
+    #: The same percentiles re-derived from the ``loadgen.request_us``
+    #: registry histogram -- reported alongside the raw-list values so a
+    #: silent divergence between the two latency paths cannot hide.
+    p50_hist_ms: float
+    p99_hist_ms: float
     retries: int
     busy_retries: int
     rejected: int
     flushes: int
-    errors: int
-    bytes_written: int
+    sessions: int       #: live server sessions when the run drained
+    evicted: int        #: ``server.sessions_evicted``
+    wakeups: int        #: ``server.wakeups`` -- only woken sessions cost
+    bytes_written: int  #: file bytes the scripts uploaded
     bytes_read: int
-    #: The same percentiles re-derived from the ``loadgen.request_us``
-    #: registry histogram -- reported alongside the raw-list values so a
-    #: silent divergence between the two latency paths cannot hide.
-    p50_hist_ms: float = 0.0
-    p99_hist_ms: float = 0.0
     latencies_ms: List[float] = field(default_factory=list, repr=False)
 
     def to_json(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "latencies_ms"}
-        return out
-
-
-@dataclass
-class OpenLoopResult:
-    """Outcome of one open-loop (offered-load) run; times simulated."""
-
-    offered_rps: float      #: the arrival rate the schedule was drawn at
-    duration_s: float       #: length of the offered window
-    offered: int            #: arrivals scheduled in the window
-    completed: int          #: requests that got a response
-    errors: int
-    elapsed_s: float        #: simulated time to drain everything
-    achieved_rps: float     #: completed / elapsed -- caps at capacity
-    p50_ms: float           #: latency from *scheduled* arrival, raw list
-    p99_ms: float
-    p50_hist_ms: float      #: same, from the loadgen.request_us histogram
-    p99_hist_ms: float
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-
-@dataclass
-class SessionStormResult:
-    """Outcome of one session storm (all times simulated).
-
-    ``sessions`` is the live server session count after every station's
-    OPEN completed -- the number the ten-thousand-client smoke pins.
-    """
-
-    clients: int
-    sessions: int       #: live server sessions once every OPEN completed
-    requests: int
-    errors: int
-    rejected: int       #: ``server.rejected`` after the run
-    evicted: int        #: ``server.sessions_evicted`` after the run
-    wakeups: int        #: ``server.wakeups`` -- only woken sessions cost
-    elapsed_s: float
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-
-def run_session_storm(
-    clients: int = 10_000,
-    shared_files: int = 32,
-    seed: int = 1979,
-    max_pending: int = 128,
-    read_wave: bool = True,
-    system: Optional[ServedSystem] = None,
-) -> SessionStormResult:
-    """Hold *clients* concurrent sessions open against one server.
-
-    The Diablo 31 pack has nowhere near ten thousand files' worth of
-    sectors, so the storm shares ``shared_files`` read-only files among
-    all stations: every station OPENs one (creating its server session
-    and holding the handle for the rest of the run), then -- unless
-    ``read_wave=False`` -- READs one page through it.  Stations arrive in
-    waves smaller than the admission window, so the storm exercises
-    session-table and ready-queue scale, not rejection; with the
-    event-driven engine the nine-thousand-odd sessions that are *not* in
-    a wave sleep and cost each poll nothing (watch ``server.wakeups``
-    against ``clients * polls``).
-
-    Pass a prebuilt *system* to reuse a topology (its station count then
-    wins over *clients*):
-
-    >>> from repro.server.loadgen import build_system, run_session_storm
-    >>> storm = run_session_storm(clients=8, shared_files=2,
-    ...                           system=build_system(8, tiny=True))
-    >>> storm.sessions, storm.errors, storm.evicted
-    (8, 0, 0)
-    """
-    if system is None:
-        system = build_system(clients=clients, max_pending=max_pending)
-    server = system.server
-    stations = system.clients
-    rng = random.Random(seed)
-
-    # Seed the shared read-only files before the measured window opens.
-    uploader = stations[0]
-    uploader.pump = server.poll
-    names = []
-    for index in range(shared_files):
-        name = f"shared{index:03d}.dat"
-        uploader.write_file(name, random_bytes(rng, 256))
-        names.append(name)
-    uploader.pump = None
-
-    started_us = system.clock.now_us
-    wave = max(1, max_pending // 2)
-    requests = errors = 0
-
-    def drive(pendings: Dict[FileClient, PendingRequest]) -> Dict[FileClient, Response]:
-        nonlocal requests, errors
-        stalls = 0
-        results: Dict[FileClient, Response] = {}
-        while pendings:
-            server.poll()
-            progressed = False
-            for station in list(pendings):
-                response = station.step(pendings[station])
-                if response is None:
-                    continue
-                progressed = True
-                del pendings[station]
-                requests += 1
-                if response.status != ST_OK:
-                    errors += 1
-                results[station] = response
-            if progressed:
-                stalls = 0
-            else:
-                stalls += 1
-                if stalls > STALL_LIMIT:
-                    raise RuntimeError("session storm stalled: no station "
-                                       "progressed for too many rounds")
-                system.clock.advance_us(1_000, "server.client.wait")
-        return results
-
-    # OPEN wave: every station joins, holding its handle open.
-    handles: Dict[FileClient, int] = {}
-    for base in range(0, len(stations), wave):
-        group = stations[base:base + wave]
-        pendings = {}
-        for index, station in enumerate(group):
-            name = names[(base + index) % len(names)]
-            pendings[station] = station.submit(station.build_open(name))
-        for station, response in drive(pendings).items():
-            handles[station] = response.handle
-
-    sessions = len(server.sessions)
-
-    # READ wave: every held handle proves it still serves.
-    if read_wave:
-        for base in range(0, len(stations), wave):
-            group = stations[base:base + wave]
-            drive({station: station.submit(
-                       station.build_read(handles[station], 1, 1))
-                   for station in group})
-
-    stats = system.stats()
-    elapsed_us = system.clock.now_us - started_us
-    return SessionStormResult(
-        clients=len(stations),
-        sessions=sessions,
-        requests=requests,
-        errors=errors,
-        rejected=int(stats.get("server.rejected", 0)),
-        evicted=int(stats.get("server.sessions_evicted", 0)),
-        wakeups=int(stats.get("server.wakeups", 0)),
-        elapsed_s=round(elapsed_us / 1_000_000.0, 6),
-    )
+        return {k: v for k, v in self.__dict__.items() if k != "latencies_ms"}
 
 
 def percentile(sorted_values: List[float], fraction: float) -> float:
@@ -388,15 +238,205 @@ def check_quantile_agreement(sorted_us: List[int], hist, fraction: float) -> flo
     return estimate
 
 
-def client_script(client: FileClient, name: str, data: bytes,
-                  read_rounds: int, with_list: bool
-                  ) -> Generator[Request, Response, None]:
-    """The per-client workload as a request generator.
+def _latency_histogram(system):
+    return system.clock.obs.registry.histogram("loadgen.request_us")
 
-    Yields requests, receives responses -- the driver decides when each
-    request actually runs, so the same script serves both the concurrent
-    and the sequential mode.
+
+#: One station's workload: yields a request, or a ``(due_us, request)``
+#: pair not to be sent before ``due_us``, and is sent each response.
+Script = Generator[Union[Request, Tuple[int, Request]], Response, None]
+
+
+def drive(system, scripts: Dict[FileClient, Script],
+          progress: Optional[Callable[[int], None]] = None,
+          ) -> Tuple[List[int], int]:
+    """Run every station's script to completion, one poll per round.
+
+    Each round, every idle station whose next request is due submits it
+    (in *scripts* order), ``system.server`` polls once, and every pending
+    request is stepped; a script gets its response, and yields its next
+    request, the moment the response lands.  A round that completes
+    nothing waits 1 ms, or jumps to the earliest due request when none
+    is in flight.  *progress* gets the running completed count after
+    every round that completed one.  Returns ``(latencies_us, errors)``:
+    latency runs from the due time if the script gave one, else from the
+    first send, and is also observed into ``loadgen.request_us``.
+
+    >>> from repro.server.loadgen import build_system, drive
+    >>> system = build_system(clients=1, tiny=True)
+    >>> station = system.clients[0]
+    >>> def listing():
+    ...     response = yield station.build_list()
+    ...     print(response.status_name)
+    >>> latencies_us, errors = drive(system, {station: listing()})
+    ok
+    >>> len(latencies_us), errors
+    (1, 0)
     """
+    clock = system.clock
+    histogram = _latency_histogram(system)
+    latencies: List[int] = []
+    errors = 0
+    waiting: Dict[FileClient, Tuple[Optional[int], Request]] = {}
+    pendings: Dict[FileClient, Tuple[PendingRequest, Optional[int]]] = {}
+
+    def fetch(station: FileClient, response: Optional[Response]) -> None:
+        try:
+            item = scripts[station].send(response)
+        except StopIteration:
+            return
+        waiting[station] = item if isinstance(item, tuple) else (None, item)
+
+    for station in scripts:
+        fetch(station, None)
+    stalls = 0
+    while waiting or pendings:
+        now = clock.now_us
+        for station in scripts:
+            item = waiting.get(station)
+            if item is not None and (item[0] is None or item[0] <= now):
+                del waiting[station]
+                pendings[station] = (station.submit(item[1]), item[0])
+        system.server.poll()
+        completed = len(latencies)
+        for station in list(pendings):
+            pending, due_us = pendings[station]
+            response = station.step(pending)
+            if response is None:
+                continue
+            del pendings[station]
+            latency_us = clock.now_us - (pending.first_sent_us
+                                         if due_us is None else due_us)
+            latencies.append(latency_us)
+            histogram.observe(latency_us)
+            if response.status != ST_OK:
+                errors += 1
+            fetch(station, response)
+        if len(latencies) > completed:
+            stalls = 0
+            if progress is not None:
+                progress(len(latencies))
+            continue
+        stalls += 1
+        if stalls > STALL_LIMIT:
+            raise RuntimeError("load driver stalled: no station progressed "
+                               "for too many rounds")
+        wait_us = 1_000
+        if not pendings and waiting:
+            wait_us = max(wait_us, min(due_us for due_us, _ in waiting.values())
+                          - clock.now_us)
+        clock.advance_us(wait_us, "server.client.wait")
+    return latencies, errors
+
+
+def _result(mode: str, system, started_us: int,
+            outcomes: List[Tuple[List[int], int]],
+            bytes_written: int = 0) -> LoadResult:
+    """Fold the :func:`drive` outcomes of one run into a :class:`LoadResult`."""
+    stats = system.stats()
+    latencies_us = sorted(us for latencies, _ in outcomes for us in latencies)
+    latencies_ms = [us / 1000.0 for us in latencies_us]
+    elapsed_us = system.clock.now_us - started_us
+    elapsed_s = elapsed_us / 1_000_000.0
+    histogram = _latency_histogram(system)
+    if histogram.count == len(latencies_us):
+        # A fresh system: the histogram holds exactly these samples, so
+        # its quantiles must bracket the true nearest-rank values.
+        p50_hist = check_quantile_agreement(latencies_us, histogram, 0.50)
+        p99_hist = check_quantile_agreement(latencies_us, histogram, 0.99)
+    else:
+        p50_hist = histogram.quantile(0.50)
+        p99_hist = histogram.quantile(0.99)
+    return LoadResult(
+        mode=mode,
+        clients=len(system.clients),
+        requests=len(latencies_us),
+        errors=sum(errors for _, errors in outcomes),
+        elapsed_s=round(elapsed_s, 6),
+        requests_per_sec=(round(len(latencies_us) / elapsed_s, 3)
+                          if elapsed_us else 0.0),
+        p50_ms=round(percentile(latencies_ms, 0.50), 3),
+        p99_ms=round(percentile(latencies_ms, 0.99), 3),
+        p50_hist_ms=round(p50_hist / 1000.0, 3),
+        p99_hist_ms=round(p99_hist / 1000.0, 3),
+        retries=int(stats.get("server.client.retries", 0)),
+        busy_retries=int(stats.get("server.client.busy_retries", 0)),
+        rejected=int(stats.get("server.rejected", 0)),
+        flushes=int(stats.get("server.flushes", 0)),
+        sessions=len(system.server.sessions),
+        evicted=int(stats.get("server.sessions_evicted", 0)),
+        wakeups=int(stats.get("server.wakeups", 0)),
+        bytes_written=bytes_written,
+        bytes_read=int(stats.get("server.pages_read", 0)) * 512,
+        latencies_ms=latencies_ms,
+    )
+
+
+def run_session_storm(
+    clients: int = 10_000,
+    shared_files: int = 32,
+    seed: int = 1979,
+    system: Optional[ServedSystem] = None,
+) -> LoadResult:
+    """Hold *clients* concurrent sessions open against one server.
+
+    The Diablo 31 pack has nowhere near ten thousand files' worth of
+    sectors, so the storm shares ``shared_files`` read-only files among
+    all stations: every station OPENs one (creating its server session
+    and holding the handle for the rest of the run), then READs one page
+    through it.  Stations arrive in waves of half the server's admission
+    window (one :func:`drive` per wave), so the storm exercises
+    session-table and ready-queue scale, not rejection; with the
+    event-driven engine the nine-thousand-odd sessions that are *not* in
+    a wave sleep and cost each poll nothing (watch ``wakeups`` against
+    ``clients * polls``).
+
+    Pass a prebuilt *system* to reuse a topology (its station count then
+    wins over *clients*):
+
+    >>> from repro.server.loadgen import build_system, run_session_storm
+    >>> storm = run_session_storm(clients=8, shared_files=2,
+    ...                           system=build_system(8, tiny=True))
+    >>> storm.sessions, storm.requests, storm.errors, storm.evicted
+    (8, 16, 0, 0)
+    """
+    if system is None:
+        system = build_system(clients=clients)
+    stations = system.clients
+    rng = random.Random(seed)
+
+    # Seed the shared read-only files before the measured window opens.
+    names = [f"shared{index:03d}.dat" for index in range(shared_files)]
+    uploader = stations[0]
+    uploader.pump = system.server.poll
+    for name in names:
+        uploader.write_file(name, random_bytes(rng, 256))
+    uploader.pump = None
+
+    handles: Dict[FileClient, int] = {}
+
+    def hold(index: int, station: FileClient) -> Script:
+        response = yield station.build_open(names[index % len(names)])
+        handles[station] = response.handle
+
+    def touch(index: int, station: FileClient) -> Script:
+        yield station.build_read(handles[station], 1, 1)
+
+    started_us = system.clock.now_us
+    wave = max(1, system.server.max_pending // 2)
+    outcomes = [
+        drive(system, {station: script(base + offset, station)
+                       for offset, station
+                       in enumerate(stations[base:base + wave])})
+        for script in (hold, touch)
+        for base in range(0, len(stations), wave)]
+    return _result("storm", system, started_us, outcomes)
+
+
+def client_script(client: FileClient, name: str, data: bytes,
+                  read_rounds: int) -> Script:
+    """The per-client closed-loop workload: upload *name*, read it back
+    *read_rounds* times in batched sequential READs, list the directory."""
     from ..fs.file import FULL_PAGE
 
     response = yield client.build_open(name, create=True)
@@ -419,139 +459,50 @@ def client_script(client: FileClient, name: str, data: bytes,
             response = yield client.build_read(handle, page, want)
             page += max(1, response.result0)
         yield client.build_close(handle)
-    if with_list:
-        yield client.build_list()
+    yield client.build_list()
 
 
+@dataclass
 class LoadGenerator:
-    """Drives every client's script against one server, two ways."""
+    """Builds every client's script from one seed and drives it three ways."""
 
-    def __init__(
-        self,
-        system: ServedSystem,
-        seed: int = 1979,
-        file_bytes: int = 2048,
-        read_rounds: int = 2,
-        with_list: bool = True,
-    ) -> None:
-        self.system = system
-        self.seed = seed
-        self.file_bytes = file_bytes
-        self.read_rounds = read_rounds
-        self.with_list = with_list
-        #: Client-observed latency, also kept as a registry histogram so
-        #: the list-based percentiles and the bucketed quantiles report
-        #: side by side (and are cross-checked in :meth:`_result`).
-        self._h_latency = system.clock.obs.registry.histogram(
-            "loadgen.request_us")
+    system: ServedSystem
+    seed: int = 1979
+    file_bytes: int = 2048
+    read_rounds: int = 2
 
-    def _scripts(self):
+    def _scripts(self) -> Tuple[Dict[FileClient, Script], int]:
+        """Every client's :func:`client_script`, plus the bytes they upload."""
         rng = random.Random(self.seed)
-        scripts = []
+        scripts = {}
+        bytes_written = 0
         for index, client in enumerate(self.system.clients):
             size = self.file_bytes + rng.randrange(0, 256)
-            data = random_bytes(rng, size)
-            scripts.append((client,
-                            client_script(client, f"load{index:03d}.dat", data,
-                                          self.read_rounds, self.with_list),
-                            size))
-        return scripts
-
-    def _result(self, mode: str, requests: int, errors: int,
-                latencies_us: List[int], elapsed_us: int,
-                bytes_written: int) -> LoadResult:
-        stats = self.system.stats()
-        latencies_ms = sorted(us / 1000.0 for us in latencies_us)
-        elapsed_s = elapsed_us / 1_000_000.0
-        sorted_us = sorted(latencies_us)
-        if self._h_latency.count == len(sorted_us):
-            # A fresh run: the histogram holds exactly these samples, so
-            # its quantiles must bracket the true nearest-rank values.
-            p50_hist = check_quantile_agreement(sorted_us, self._h_latency, 0.50)
-            p99_hist = check_quantile_agreement(sorted_us, self._h_latency, 0.99)
-        else:
-            p50_hist = self._h_latency.quantile(0.50)
-            p99_hist = self._h_latency.quantile(0.99)
-        return LoadResult(
-            mode=mode,
-            clients=len(self.system.clients),
-            requests=requests,
-            elapsed_s=round(elapsed_s, 6),
-            requests_per_sec=round(requests / elapsed_s, 3) if elapsed_us else 0.0,
-            p50_ms=round(percentile(latencies_ms, 0.50), 3),
-            p99_ms=round(percentile(latencies_ms, 0.99), 3),
-            retries=int(stats.get("server.client.retries", 0)),
-            busy_retries=int(stats.get("server.client.busy_retries", 0)),
-            rejected=int(stats.get("server.rejected", 0)),
-            flushes=int(stats.get("server.flushes", 0)),
-            errors=errors,
-            bytes_written=bytes_written,
-            bytes_read=int(stats.get("server.pages_read", 0)) * 512,
-            p50_hist_ms=round(p50_hist / 1000.0, 3),
-            p99_hist_ms=round(p99_hist / 1000.0, 3),
-            latencies_ms=latencies_ms,
-        )
+            scripts[client] = client_script(
+                client, f"load{index:03d}.dat", random_bytes(rng, size),
+                self.read_rounds)
+            bytes_written += size
+        return scripts, bytes_written
 
     def run(self, progress: Optional[Callable[[int], None]] = None) -> LoadResult:
-        """Concurrent mode: all clients in flight, one poll per round.
+        """Concurrent mode: every client's script in one :func:`drive`
+        (*progress* is how ``python -m repro top`` refreshes mid-run)."""
+        scripts, bytes_written = self._scripts()
+        started_us = self.system.clock.now_us
+        outcome = drive(self.system, scripts, progress)
+        return _result("concurrent", self.system, started_us, [outcome],
+                       bytes_written)
 
-        *progress*, when given, is called with the running completed-request
-        count after every round that completed at least one request -- the
-        hook ``python -m repro top`` uses to refresh its dashboard while
-        the run is in flight.
-        """
-        system = self.system
-        scripts = self._scripts()
-        started_us = system.clock.now_us
-        active: Dict[FileClient, Generator] = {c: g for c, g, _ in scripts}
-        bytes_written = sum(size for _, _, size in scripts)
-        pendings: Dict[FileClient, PendingRequest] = {}
-        responses: Dict[FileClient, Optional[Response]] = {c: None for c in active}
-        latencies: List[int] = []
-        requests = errors = 0
-        stalls = 0
-        while active or pendings:
-            for client in list(active):
-                if client in pendings:
-                    continue
-                try:
-                    request = active[client].send(responses[client])
-                except StopIteration:
-                    del active[client]
-                    continue
-                pendings[client] = client.submit(request)
-            system.server.poll()
-            progressed = False
-            for client in list(pendings):
-                pending = pendings[client]
-                response = client.step(pending)
-                if response is None:
-                    continue
-                progressed = True
-                del pendings[client]
-                latency_us = system.clock.now_us - pending.first_sent_us
-                latencies.append(latency_us)
-                self._h_latency.observe(latency_us)
-                requests += 1
-                if response.status != ST_OK:
-                    errors += 1
-                responses[client] = response
-            if progressed:
-                stalls = 0
-                if progress is not None:
-                    progress(requests)
-            else:
-                stalls += 1
-                if stalls > STALL_LIMIT:
-                    raise RuntimeError("load generator stalled: no client "
-                                       "progressed for too many rounds")
-                system.clock.advance_us(1_000, "server.client.wait")
-        return self._result("concurrent", requests, errors, latencies,
-                            system.clock.now_us - started_us, bytes_written)
+    def run_sequential(self) -> LoadResult:
+        """Baseline mode: the same scripts, one :func:`drive` per client."""
+        scripts, bytes_written = self._scripts()
+        started_us = self.system.clock.now_us
+        outcomes = [drive(self.system, {client: script})
+                    for client, script in scripts.items()]
+        return _result("sequential", self.system, started_us, outcomes,
+                       bytes_written)
 
-    def run_open_loop(self, rate_rps: float, duration_s: float,
-                      progress: Optional[Callable[[int], None]] = None
-                      ) -> "OpenLoopResult":
+    def run_open_loop(self, rate_rps: float, duration_s: float) -> LoadResult:
         """Open-loop mode: Poisson arrivals at *rate_rps*, independent of
         completions, for *duration_s* simulated seconds of offered load.
 
@@ -580,124 +531,22 @@ class LoadGenerator:
             client.pump = system.server.poll
             name = f"open{index:03d}.dat"
             client.write_file(name, random_bytes(rng, 256))
-            handle, _ = client.open(name)
-            handles[client] = handle
+            handles[client], _ = client.open(name)
             client.pump = None
 
         # The offered schedule: exponential gaps, one station per arrival.
         started_us = system.clock.now_us
         horizon_us = started_us + int(duration_s * 1_000_000)
         arrivals: List[int] = []
-        at_us = float(started_us)
-        while True:
-            at_us += rng.expovariate(rate_rps) * 1_000_000
-            if at_us >= horizon_us:
-                break
+        at_us = started_us + rng.expovariate(rate_rps) * 1_000_000
+        while at_us < horizon_us:
             arrivals.append(int(at_us))
+            at_us += rng.expovariate(rate_rps) * 1_000_000
 
-        backlog: Dict[FileClient, List[int]] = {c: [] for c in stations}
-        pendings: Dict[FileClient, "tuple[PendingRequest, int]"] = {}
-        latencies: List[int] = []
-        next_arrival = 0
-        completed = errors = 0
-        stalls = 0
-        while next_arrival < len(arrivals) or pendings \
-                or any(backlog.values()):
-            now = system.clock.now_us
-            while next_arrival < len(arrivals) and arrivals[next_arrival] <= now:
-                station = stations[next_arrival % len(stations)]
-                backlog[station].append(arrivals[next_arrival])
-                next_arrival += 1
-            for station in stations:
-                if station in pendings or not backlog[station]:
-                    continue
-                scheduled_us = backlog[station].pop(0)
-                request = station.build_read(handles[station], 1, 1)
-                pendings[station] = (station.submit(request), scheduled_us)
-            system.server.poll()
-            progressed = False
-            for station in list(pendings):
-                pending, scheduled_us = pendings[station]
-                response = station.step(pending)
-                if response is None:
-                    continue
-                progressed = True
-                del pendings[station]
-                latency_us = system.clock.now_us - scheduled_us
-                latencies.append(latency_us)
-                self._h_latency.observe(latency_us)
-                completed += 1
-                if response.status != ST_OK:
-                    errors += 1
-            if progressed:
-                stalls = 0
-                if progress is not None:
-                    progress(completed)
-            else:
-                stalls += 1
-                if stalls > STALL_LIMIT:
-                    raise RuntimeError("open-loop generator stalled")
-                step_us = 1_000
-                if next_arrival < len(arrivals) and not pendings \
-                        and not any(backlog.values()):
-                    # Idle until the next scheduled arrival: jump there.
-                    step_us = max(step_us,
-                                  arrivals[next_arrival] - system.clock.now_us)
-                system.clock.advance_us(step_us, "server.client.wait")
-        elapsed_us = system.clock.now_us - started_us
-        elapsed_s = elapsed_us / 1_000_000.0
-        sorted_us = sorted(latencies)
-        if self._h_latency.count == len(sorted_us):
-            p50_us = check_quantile_agreement(sorted_us, self._h_latency, 0.50)
-            p99_us = check_quantile_agreement(sorted_us, self._h_latency, 0.99)
-        else:
-            p50_us = self._h_latency.quantile(0.50)
-            p99_us = self._h_latency.quantile(0.99)
-        return OpenLoopResult(
-            offered_rps=rate_rps,
-            duration_s=duration_s,
-            offered=len(arrivals),
-            completed=completed,
-            errors=errors,
-            elapsed_s=round(elapsed_s, 6),
-            achieved_rps=round(completed / elapsed_s, 3) if elapsed_us else 0.0,
-            p50_ms=round(percentile(sorted(us / 1000.0 for us in latencies),
-                                    0.50), 3),
-            p99_ms=round(percentile(sorted(us / 1000.0 for us in latencies),
-                                    0.99), 3),
-            p50_hist_ms=round(p50_us / 1000.0, 3),
-            p99_hist_ms=round(p99_us / 1000.0, 3),
-        )
+        def reads(index: int, station: FileClient) -> Script:
+            for due_us in arrivals[index::len(stations)]:
+                yield due_us, station.build_read(handles[station], 1, 1)
 
-    def run_sequential(self) -> LoadResult:
-        """Baseline mode: the same scripts, one client finishing at a time."""
-        system = self.system
-        scripts = self._scripts()
-        started_us = system.clock.now_us
-        latencies: List[int] = []
-        requests = errors = 0
-        bytes_written = sum(size for _, _, size in scripts)
-        for client, script, _ in scripts:
-            client.pump = system.server.poll
-            response = None
-            while True:
-                try:
-                    request = script.send(response)
-                except StopIteration:
-                    break
-                pending = client.submit(request)
-                while True:
-                    system.server.poll()
-                    response = client.step(pending)
-                    if response is not None:
-                        break
-                    system.clock.advance_us(client.poll_interval_us,
-                                            "server.client.wait")
-                latency_us = system.clock.now_us - pending.first_sent_us
-                latencies.append(latency_us)
-                self._h_latency.observe(latency_us)
-                requests += 1
-                if response.status != ST_OK:
-                    errors += 1
-        return self._result("sequential", requests, errors, latencies,
-                            system.clock.now_us - started_us, bytes_written)
+        outcome = drive(system, {station: reads(index, station)
+                                 for index, station in enumerate(stations)})
+        return _result("open-loop", system, started_us, [outcome])
