@@ -232,12 +232,10 @@ class OnlineMaintenance:
         return self.continuous or self.phase != PHASE_DONE
 
     def attach(self, server) -> "OnlineMaintenance":
-        """Register this maintainer as *server*'s background timer.
+        """Attach this maintainer to *server*'s poll cycle.
 
-        The event-driven engine runs maintenance as a self-re-arming
-        event on its :class:`~repro.server.events.EventQueue`: assigning
-        ``server.maintenance`` arms it, and one bounded slice then fires
-        at the end of every poll cycle.  This is the same wiring as
+        The engine runs one bounded slice at the end of every poll,
+        after the cycle's flush.  This is the same wiring as
         ``server.maintenance = maint``, returned for chaining.
 
         >>> from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk

@@ -5,10 +5,10 @@ first-class package: a deterministic, simulated-time, **event-driven**
 request engine (:class:`~repro.server.engine.FileServer`) multiplexing
 many client sessions over a :class:`~repro.net.network.PacketNetwork`
 onto one :class:`~repro.fs.filesystem.FileSystem` -- sessions sleep until
-a packet, timer, or flush wakes them, are scheduled under weighted QoS
-classes (:mod:`~repro.server.qos`), and are admitted through a graduated
-curve (:class:`~repro.server.qos.AdmissionCurve`) rather than a single
-cliff.  Around the engine: a framed wire protocol with error codes
+a packet arrives for them, are scheduled under weighted QoS classes
+(:mod:`~repro.server.qos`), and are admitted through a graduated curve
+(:class:`~repro.server.qos.AdmissionCurve`) rather than a single cliff.
+Around the engine: a framed wire protocol with error codes
 (:mod:`~repro.server.protocol`), per-session state with at-most-once
 retry semantics (:mod:`~repro.server.session`), a client with timeout and
 exponential backoff (:class:`~repro.server.client.FileClient`), and a
@@ -33,7 +33,6 @@ b'served!'
 
 from .client import FileClient, PendingRequest
 from .engine import DEFAULT_MAX_PENDING, FileServer
-from .events import Event, EventQueue
 from .loadgen import (
     ClusterSystem,
     LoadGenerator,
@@ -95,8 +94,6 @@ __all__ = [
     "ClusterSystem",
     "DEFAULT_MAX_PENDING",
     "DEFAULT_QOS_WEIGHTS",
-    "Event",
-    "EventQueue",
     "FLAG_CREATE",
     "FailoverReport",
     "FailoverScenario",

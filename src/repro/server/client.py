@@ -16,10 +16,11 @@ all of them deterministically:
 * a **stale response** arrives for an id the client gave up on: it is
   discarded by id matching.
 
-The waiting loop advances simulated time in ``poll_interval_us`` steps and
-calls the optional ``pump`` callable (normally ``server.poll``) so the
-server runs -- in this single-threaded simulation the client's wait loop
-*is* the machine's idle loop.
+The waiting loop (:meth:`FileClient.wait`) advances simulated time in
+``DEFAULT_POLL_INTERVAL_US`` steps and calls the optional ``pump``
+callable (normally ``server.poll``) so the server runs -- in this
+single-threaded simulation the client's wait loop *is* the machine's
+idle loop.
 
 >>> from repro import DiskDrive, DiskImage, FileSystem, tiny_test_disk
 >>> from repro.net import PacketNetwork
@@ -69,8 +70,10 @@ PAGE_WORDS = FULL_PAGE // 2
 #: Default client timing parameters (simulated microseconds).
 DEFAULT_TIMEOUT_US = 40_000
 DEFAULT_BACKOFF_US = 5_000
-DEFAULT_POLL_INTERVAL_US = 1_000
 DEFAULT_MAX_RETRIES = 8
+
+#: How far :meth:`FileClient.wait` advances simulated time per wait step.
+DEFAULT_POLL_INTERVAL_US = 1_000
 
 
 class PendingRequest:
@@ -110,7 +113,6 @@ class FileClient:
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_us: int = DEFAULT_BACKOFF_US,
         backoff_factor: int = 2,
-        poll_interval_us: int = DEFAULT_POLL_INTERVAL_US,
         read_batch_pages: int = MAX_BATCH_PAGES,
         backoff_jitter: float = 0.0,
         jitter_seed: int = 1979,
@@ -124,7 +126,6 @@ class FileClient:
         self.max_retries = max_retries
         self.backoff_us = backoff_us
         self.backoff_factor = backoff_factor
-        self.poll_interval_us = poll_interval_us
         self.read_batch_pages = min(read_batch_pages, MAX_BATCH_PAGES)
         if not 0.0 <= backoff_jitter <= 1.0:
             raise ValueError("backoff_jitter must be in [0.0, 1.0]")
@@ -276,13 +277,13 @@ class FileClient:
         pending.last_sent_us = now
         pending.resend_at_us = None
 
-    def transact(self, request: Request) -> Response:
-        """Submit and wait: pump the server, advance time, retry, return.
+    def wait(self, pending: PendingRequest) -> Response:
+        """Pump the server, advance time and retry until *pending* is
+        answered; the caller keeps *pending* (its packets can be resent).
 
         Raises :class:`~repro.errors.RequestFailed` on any non-OK status
         (after the busy/retry discipline has run its course).
         """
-        pending = self.submit(request)
         while True:
             if self.pump is not None:
                 self.pump()
@@ -290,10 +291,15 @@ class FileClient:
             if response is not None:
                 if not response.ok:
                     raise RequestFailed(
-                        f"{request.op_name} failed: {response.status_name}",
-                        response)
+                        f"{pending.request.op_name} failed: "
+                        f"{response.status_name}", response)
                 return response
-            self.clock.advance_us(self.poll_interval_us, "server.client.wait")
+            self.clock.advance_us(DEFAULT_POLL_INTERVAL_US,
+                                  "server.client.wait")
+
+    def transact(self, request: Request) -> Response:
+        """Submit and wait: pump the server, advance time, retry, return."""
+        return self.wait(self.submit(request))
 
     # ------------------------------------------------------------------------
     # High-level file operations

@@ -7,9 +7,8 @@ wake the sessions packets arrived for, admit each frame under the
 ``ST_BUSY`` -- backpressure the client's retry/backoff absorbs), run the
 **ready queue** -- only sessions with admitted work are visited, in QoS
 class rotation with per-class request allowances -- then finish with
-**one** write-back flush covering every write the cycle performed and
-the timers of the :class:`~repro.server.events.EventQueue` (maintenance
-slices, and anything else scheduled against the simulated clock).
+**one** write-back flush covering every write the cycle performed and,
+when a patrol is attached, one bounded maintenance slice.
 
 Sessions with nothing queued **sleep**: they cost nothing per cycle, so
 one server holds ten thousand concurrent sessions and each poll's work
@@ -58,7 +57,6 @@ from ..errors import (
 )
 from ..fs.file import FULL_PAGE
 from ..net.network import Packet, PacketNetwork
-from .events import EventQueue
 from .protocol import (
     FLAG_CREATE,
     FrameAssembler,
@@ -110,11 +108,11 @@ class FileServer:
     The server is passive: it runs only when :meth:`poll` is called, which
     keeps every run deterministic -- the interleaving is exactly the
     caller's schedule.  Scheduling is by QoS class: each visit to a class
-    may serve ``weight * quantum`` requests, round-robin over that class's
-    ready sessions in first-admission order.  With every client in the
-    default ``interactive`` class this degenerates to the PR-5 behaviour
-    exactly: ``quantum`` requests per client per turn, strict alternation
-    under load.
+    may serve its :data:`~repro.server.qos.DEFAULT_QOS_WEIGHTS` weight in
+    requests, one per session wakeup, round-robin over that class's ready
+    sessions in first-admission order.  With every client in the default
+    ``interactive`` class this degenerates to the PR-5 behaviour exactly:
+    one request per client per turn, strict alternation under load.
     """
 
     def __init__(
@@ -123,29 +121,24 @@ class FileServer:
         network: PacketNetwork,
         host: str = "fileserver",
         max_pending: int = DEFAULT_MAX_PENDING,
-        quantum: int = 1,
         admission: Optional[AdmissionCurve] = None,
-        qos_weights: Optional[Dict[str, int]] = None,
         admission_seed: int = 1979,
     ) -> None:
         self.fs = fs
         self.network = network
         self.host = host
         self.max_pending = max_pending
-        self.quantum = quantum
         #: The admission policy; defaults to the hard cliff at
         #: ``max_pending`` (byte-identical to the PR-5 engine).
         self.admission = (admission if admission is not None
                           else AdmissionCurve.cliff(max_pending))
-        #: Requests allowed per class visit, per unit of ``quantum``.
-        self.qos_weights = dict(DEFAULT_QOS_WEIGHTS if qos_weights is None
-                                else qos_weights)
         self.clock = fs.drive.clock
         self.obs = self.clock.obs
         self.assembler = FrameAssembler()
-        #: Timers keyed by the simulated clock, fired at the end of every
-        #: poll cycle (the maintenance slice rides here).
-        self.timers = EventQueue(self.clock)
+        #: Optional :class:`repro.fs.online.OnlineMaintenance`: when set,
+        #: one bounded slice runs at the end of every poll cycle,
+        #: interleaving scavenge/compaction with request service.
+        self.maintenance = None
         self.sessions: Dict[str, Session] = {}
         #: Per-client FIFOs of admitted work; a client has an entry only
         #: while it has queued requests (otherwise its session sleeps).
@@ -163,8 +156,6 @@ class FileServer:
         self._pending = 0
         self._in_cycle = False
         self._rng = random.Random(f"admission:{admission_seed}:{host}")
-        self._maintenance = None
-        self._maint_event = None
         registry = self.obs.registry
         self._c_requests = registry.counter("server.requests")
         self._c_rejected = registry.counter("server.rejected")
@@ -175,7 +166,6 @@ class FileServer:
         self._c_polls = registry.counter("server.polls")
         self._c_wakeups = registry.counter("server.wakeups")
         self._c_evicted = registry.counter("server.sessions_evicted")
-        self._c_timer_events = registry.counter("server.timer_events")
         self._c_pages_read = registry.counter("server.pages_read")
         self._c_pages_written = registry.counter("server.pages_written")
         self._c_sessions = registry.counter("server.sessions")
@@ -188,7 +178,7 @@ class FileServer:
         self._h_service_us = registry.histogram("server.service_us")
 
     # ------------------------------------------------------------------------
-    # QoS and maintenance wiring
+    # QoS
     # ------------------------------------------------------------------------
 
     def set_qos(self, client: str, qos: str) -> None:
@@ -215,37 +205,10 @@ class FileServer:
         if old != qos and client in self._ready[old]:
             self._ready[old].discard(client)
             self._ready[qos].add(client)
-        session = self.sessions.get(client)
-        if session is not None:
-            session.qos = qos
 
     def qos_of(self, client: str) -> str:
         """The QoS class *client* is admitted and scheduled under."""
         return self._qos.get(client, QOS_INTERACTIVE)
-
-    @property
-    def maintenance(self):
-        """Optional :class:`repro.fs.online.OnlineMaintenance`: when set,
-        one bounded maintenance slice runs as a self-re-arming timer at
-        the end of every poll cycle, interleaving scavenge/compaction
-        with request service."""
-        return self._maintenance
-
-    @maintenance.setter
-    def maintenance(self, maint) -> None:
-        self._maintenance = maint
-        if maint is not None and self._maint_event is None:
-            self._maint_event = self.timers.at(
-                self.clock.now_us, self._maintenance_tick, label="maintenance")
-
-    def _maintenance_tick(self) -> None:
-        """One maintenance slice, re-armed for the next cycle."""
-        self._maint_event = None
-        if self._maintenance is None:
-            return
-        self._maintenance.step()
-        self._maint_event = self.timers.at(
-            self.clock.now_us, self._maintenance_tick, label="maintenance")
 
     # ------------------------------------------------------------------------
     # The event loop
@@ -256,9 +219,10 @@ class FileServer:
 
         Ingest (wake sessions packets arrived for) -> admit under the
         curve -> run the ready queue (up to *budget* requests) -> one
-        batched flush -> fire due timers.  Requests left unserviced by a
-        budget stay queued for the next cycle, and the class/session
-        cursors persist so a budgeted backlog drains fairly.
+        batched flush -> one maintenance slice, if a patrol is attached.
+        Requests left unserviced by a budget stay queued for the next
+        cycle, and the class/session cursors persist so a budgeted
+        backlog drains fairly.
         """
         self._c_polls.inc()
         self._before_cycle()
@@ -273,9 +237,8 @@ class FileServer:
             with self.obs.span("server.flush", "server"):
                 self.fs.flush()
             self._c_flushes.inc()
-        fired = self.timers.fire_due()
-        if fired:
-            self._c_timer_events.inc(fired)
+        if self.maintenance is not None:
+            self.maintenance.step()
         self._after_cycle()
         return served
 
@@ -291,11 +254,11 @@ class FileServer:
 
     def has_work(self) -> bool:
         """True when a poll cycle would do something: packets waiting,
-        admitted work queued, or timers armed (a maintenance patrol keeps
+        admitted work queued, or a maintenance patrol attached (it keeps
         its shard polling).  The router skips idle shards on this."""
         return bool(self._pending
                     or self.network.pending(self.host)
-                    or len(self.timers))
+                    or self.maintenance is not None)
 
     def _ingest(self) -> None:
         """Drain the receive queue; admit complete frames or shed busy."""
@@ -360,9 +323,9 @@ class FileServer:
         """Serve the ready queue: class rotation, weighted allowances.
 
         Visits QoS classes round-robin (cursor persists across polls);
-        each visit serves up to ``weight * quantum`` requests from that
-        class's ready sessions in first-admission order, ``quantum`` per
-        session wakeup.  Cursors reset when a class drains, so a poll
+        each visit serves up to the class weight in requests from that
+        class's ready sessions in first-admission order, one per session
+        wakeup.  Cursors reset when a class drains, so a poll
         that empties the backlog leaves the schedule exactly where the
         polled engine's fixed scan would start it.
         """
@@ -406,8 +369,8 @@ class FileServer:
     def _serve_class(self, cls: str, ranked: List[str],
                      position: Dict[str, int], budget: Optional[int],
                      served_so_far: int) -> Tuple[int, bool]:
-        """One class visit: up to ``weight * quantum`` requests."""
-        allowance = max(1, self.qos_weights.get(cls, 1)) * self.quantum
+        """One class visit: up to the class weight in requests."""
+        allowance = DEFAULT_QOS_WEIGHTS[cls]
         ready = self._ready[cls]
         served = 0
         wrote = False
@@ -428,13 +391,9 @@ class FileServer:
                 continue
             self._c_wakeups.inc()
             queue = self._queues[client]
-            turns = min(self.quantum, len(queue), allowance - served)
-            if budget is not None:
-                turns = min(turns, budget - served_so_far - served)
-            for _ in range(turns):
-                request, admitted_us = self._take(client, cls, queue)
-                wrote |= self._service(client, request, admitted_us)
-                served += 1
+            request, admitted_us = self._take(client, cls, queue)
+            wrote |= self._service(client, request, admitted_us)
+            served += 1
             self._cursor[cls] = self._client_seq[client]
             if not ready:
                 self._cursor[cls] = -1
@@ -459,8 +418,7 @@ class FileServer:
         """Execute one admitted request; returns True when it wrote."""
         session = self.sessions.get(client)
         if session is None:
-            session = self.sessions[client] = Session(
-                client, qos=self._qos.get(client, QOS_INTERACTIVE))
+            session = self.sessions[client] = Session(client)
             self._c_sessions.inc()
         cached = session.replay(request.request_id)
         if cached is not None:

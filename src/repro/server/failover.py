@@ -52,14 +52,13 @@ from ..disk.drive import DiskDrive
 from ..disk.faults import CrashReport, CrashScenario, PlanFactory
 from ..disk.geometry import tiny_test_disk
 from ..disk.image import DiskImage
-from ..errors import RequestFailed
 from ..fs.file import FULL_PAGE
 from ..fs.filesystem import FileSystem
 from ..fs.fsck import check_image
 from ..fs.online import ONLINE_TOLERATED_ISSUES, OnlineMaintenance
 from ..net.network import PacketNetwork
 from ..words import words_to_bytes
-from .client import FileClient, PendingRequest
+from .client import DEFAULT_POLL_INTERVAL_US, FileClient, PendingRequest
 from .replica import ReplicaStandby, ReplicatedFileServer, promote
 from .router import ShardRouter
 
@@ -200,22 +199,6 @@ def _page_chunks(data: bytes) -> List[Tuple[int, bytes]]:
     return chunks
 
 
-def _await(client: FileClient, pending: PendingRequest):
-    """Pump-and-wait like ``FileClient.transact``, keeping *pending* ours
-    (the drill reuses its packets as the at-most-once probe)."""
-    while True:
-        if client.pump is not None:
-            client.pump()
-        response = client.step(pending)
-        if response is not None:
-            if not response.ok:
-                raise RequestFailed(
-                    f"{pending.request.op_name} failed: "
-                    f"{response.status_name}", response)
-            return response
-        client.clock.advance_us(client.poll_interval_us, "server.client.wait")
-
-
 # ----------------------------------------------------------------------------
 # The drill
 # ----------------------------------------------------------------------------
@@ -246,8 +229,10 @@ class FailoverScenario(CrashScenario):
         for name, data in lab.files:
             handle, _ = client.open(name, create=True)
             for page, chunk in _page_chunks(data):
+                # Keep the pending request: the drill reuses its packets
+                # as the at-most-once probe.
                 pending = client.submit(client.build_write(handle, page, chunk))
-                _await(client, pending)
+                client.wait(pending)
                 self.acked[(name, page)] = chunk
                 self.probe = pending
             client.close(handle)
@@ -292,7 +277,7 @@ class FailoverScenario(CrashScenario):
 def _upload(client: FileClient, name: str, data: bytes) -> None:
     handle, _ = client.open(name, create=True)
     for page, chunk in _page_chunks(data):
-        _await(client, client.submit(client.build_write(handle, page, chunk)))
+        client.transact(client.build_write(handle, page, chunk))
     client.close(handle)
 
 
@@ -333,7 +318,7 @@ def _probe_replay(lab: _Lab, probe: PendingRequest, replayed_before: int,
         response = client._check_arrivals(probe)
         if response is not None:
             break
-        client.clock.advance_us(client.poll_interval_us, "server.client.wait")
+        client.clock.advance_us(DEFAULT_POLL_INTERVAL_US, "server.client.wait")
     if response is None or not response.ok:
         report.note("replay probe: pre-crash request got no cached answer")
         return

@@ -2,10 +2,10 @@
 
 :class:`PolledFileServer` is the round-robin loop the event-driven
 engine replaced: every poll scans *all* clients in first-admission
-order, serving ``quantum`` requests per client per pass until the
-backlog drains or the budget runs out.  It shares every other code path
-with :class:`~repro.server.engine.FileServer` -- ingest, admission,
-dispatch, flush, timers -- so the only difference under test is the
+order, serving one request per client per pass until the backlog drains
+or the budget runs out.  It shares every other code path with
+:class:`~repro.server.engine.FileServer` -- ingest, admission, dispatch,
+flush, maintenance -- so the only difference under test is the
 scheduler itself.
 
 The point of keeping it is the observational-equivalence property
@@ -60,13 +60,12 @@ class PolledFileServer(FileServer):
                     self._evict(client)
                     continue
                 self._c_wakeups.inc()
+                if budget is not None and served >= budget:
+                    continue
                 cls = self._qos.get(client, QOS_INTERACTIVE)
-                for _ in range(min(self.quantum, len(queue))):
-                    if budget is not None and served >= budget:
-                        break
-                    request, admitted_us = self._take(client, cls, queue)
-                    wrote |= self._service(client, request, admitted_us)
-                    served += 1
+                request, admitted_us = self._take(client, cls, queue)
+                wrote |= self._service(client, request, admitted_us)
+                served += 1
             if budget is not None and served >= budget:
                 break
         return served, wrote

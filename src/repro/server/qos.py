@@ -50,7 +50,7 @@ QOS_MAINTENANCE = "maintenance"
 #: reverse (maintenance sheds first, interactive last).
 QOS_CLASSES = (QOS_INTERACTIVE, QOS_BULK, QOS_MAINTENANCE)
 
-#: Requests granted per scheduler visit, per unit of engine ``quantum``.
+#: Requests granted per scheduler visit to a class, one per session wakeup.
 #: With every client in one class (the default) the weights are inert:
 #: the schedule degenerates to the old round-robin order exactly.
 DEFAULT_QOS_WEIGHTS: Dict[str, int] = {

@@ -144,17 +144,12 @@ class RouterStats:
     as-dict plumbing here.
     """
 
-    _FIELDS = ("rewrites", "rebalances", "shipped_names")
-
     rewrites = CounterAttr("router.rewrites")
     rebalances = CounterAttr("router.rebalances")
     shipped_names = CounterAttr("router.shipped_names")
 
     def __init__(self, registry) -> None:
         self.registry = registry
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._FIELDS}
 
 
 def merge_names(name_sets) -> List[str]:
@@ -265,7 +260,7 @@ class ShardRouter:
     # The event loop: one bulk-synchronous cluster cycle
     # ------------------------------------------------------------------------
 
-    def poll(self, budget: Optional[int] = None) -> int:
+    def poll(self) -> int:
         """Run one cluster cycle; returns requests served across shards.
 
         Sync shard clocks up to the router's, ingest and route client
@@ -282,11 +277,11 @@ class ShardRouter:
         self._ingest()
         served = 0
         for shard in self.shards:
-            # Event dispatch, not a blind scan: a shard with no packets
-            # waiting, no admitted backlog, and no armed timers is asleep
-            # and costs the cycle nothing.
+            # Dispatch on work, not a blind scan: a shard with no packets
+            # waiting, no admitted backlog, and no maintenance patrol is
+            # asleep and costs the cycle nothing.
             if shard.has_work():
-                served += shard.poll(budget)
+                served += shard.poll()
             else:
                 self._c_shards_skipped.inc()
         self._collect()

@@ -6,15 +6,12 @@ one per real client at the front door.  A session owns the client's
 open-file handles and caches the encoded response of recent requests
 keyed by request id -- a retried request id is answered from the cache
 without re-executing, which is what makes client retries safe for
-non-idempotent operations like page appends.
-
-Under the event-driven engine a session also carries its QoS class (the
-scheduling and admission bucket -- see :mod:`repro.server.qos`).
+non-idempotent operations like page appends.  A client's QoS class is
+not session state: the engine admits and schedules by it before a
+session exists (see :meth:`repro.server.engine.FileServer.set_qos`).
 
 >>> from repro.server.session import Session
 >>> session = Session("workstation")
->>> session.qos
-'interactive'
 >>> handle = session.grant(object(), "memo.txt")
 >>> handle, session.resolve(handle) is None
 (1, False)
@@ -56,10 +53,8 @@ class Session:
     has no half-open states because every request is a complete frame.
     """
 
-    def __init__(self, client: str, qos: str = "interactive") -> None:
+    def __init__(self, client: str) -> None:
         self.client = client
-        #: The QoS class this session is scheduled and admitted under.
-        self.qos = qos
         self.handles: Dict[int, OpenHandle] = {}
         self._next_handle = 1
         self._replies: "OrderedDict[int, List]" = OrderedDict()

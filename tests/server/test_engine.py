@@ -158,7 +158,7 @@ def test_duplicate_request_id_is_answered_from_the_replay_cache():
 
 
 def test_round_robin_serves_each_client_per_turn():
-    _, server, clients = make_served(clients=("a", "b"), quantum=1)
+    _, server, clients = make_served(clients=("a", "b"))
     pendings = {}
     for client in clients:
         first = client.submit(client.build_list())
