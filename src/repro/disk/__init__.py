@@ -10,12 +10,15 @@ timing model calibrated to the Diablo Model 31.
 from .cache import CACHE_HIT_US, DEFAULT_CACHE_SECTORS, CachedDrive, CacheStats
 from .drive import MAX_READ_RETRIES, Action, DiskDrive, PartCommand, TransferResult
 from .faults import (
+    TRACE_POINTS,
     CrashReport,
     CrashScenario,
     FaultInjector,
     FaultPlan,
     SweepResult,
+    check_point,
     count_writes,
+    point_name,
     sweep,
 )
 from .geometry import NIL, DiskShape, diablo31, diablo44, tiny_test_disk
@@ -33,7 +36,6 @@ from .sector import (
     value_words,
 )
 from .timing import ROTATION, SEEK, TRANSFER, ArmTimer
-from .trace import TRACE_POINTS, DiskTrace, TraceRecord, check_point, point_name
 
 from .scheduler import RequestScheduler, SchedulerStats
 
@@ -50,8 +52,6 @@ __all__ = [
     "SchedulerStats",
     "DiskImage",
     "DiskShape",
-    "DiskTrace",
-    "TraceRecord",
     "TRACE_POINTS",
     "FaultInjector",
     "FaultPlan",

@@ -50,7 +50,7 @@ from ..clock import SimClock
 from ..obs import CounterAttr, MetricsRegistry
 from ..errors import CheckError, LabelCheckError, PowerFailure
 from .drive import (MAX_READ_RETRIES, Action, DiskDrive, PartCommand,
-                    TransferResult, _NO_ACTION)
+                    TransferResult, _flatten_parts)
 from .image import DiskImage
 from .scheduler import RequestScheduler
 from .sector import VALUE_WORDS
@@ -162,28 +162,36 @@ class CachedDrive(DiskDrive):
         label: PartCommand = None,
         value: PartCommand = None,
     ) -> TransferResult:
-        commands = {
-            "header": header if header is not None else _NO_ACTION,
-            "label": label if label is not None else _NO_ACTION,
-            "value": value if value is not None else _NO_ACTION,
-        }
-        self._validate_write_continuation(commands)
+        """One sector command: served from memory, buffered for write-back,
+        or passed down to the platter (the rules are in the module
+        docstring)."""
+        parts = _flatten_parts(header, label, value)
         self.shape.check_address(address)
         if self.cache_sectors <= 0:
-            return self._pass_through(address, commands)
-        if commands["header"].action is Action.WRITE or commands["label"].action is Action.WRITE:
-            return self._structural(address, commands)
-        if commands["value"].action is Action.WRITE:
-            if commands["header"].action is Action.NONE:
-                return self._deferred_write(address, commands)
-            return self._pass_through(address, commands)
-        return self._read(address, commands)
+            return self._pass_through(address, parts)
+        if not parts or parts[-1][1] is not Action.WRITE:
+            return self._read(address, parts)
+        # A write runs on through the value, so a write before the value
+        # means the header or label is written too.
+        if len(parts) > 1 and parts[-2][1] is Action.WRITE:
+            return self._structural(address, parts)
+        if parts[0][0] == "header":
+            return self._pass_through(address, parts)
+        return self._deferred_write(address, parts)
+
+    def _command(self, address: int, parts) -> TransferResult:
+        """Convenience commands enter through :meth:`transfer` too: it is
+        the cache's one choke point."""
+        commands = {}
+        for part, action, data in parts:
+            commands[part] = PartCommand(action, data)
+        return self.transfer(address, **commands)
 
     # ------------------------------------------------------------------------
     # Write-through: label-path commands
     # ------------------------------------------------------------------------
 
-    def _structural(self, address: int, commands: dict) -> TransferResult:
+    def _structural(self, address: int, parts) -> TransferResult:
         """A command that writes a header or label: the crash discipline
         lives here, so it goes to the platter now, in program order.
 
@@ -198,27 +206,21 @@ class CachedDrive(DiskDrive):
             self.scheduler.discard(address)
             self.cache_stats.cancelled_writes += 1
         self.cache_stats.write_through += 1
-        return self._pass_through(address, commands)
+        return self._pass_through(address, parts)
 
-    def _pass_through(self, address: int, commands: dict) -> TransferResult:
+    def _pass_through(self, address: int, parts) -> TransferResult:
         """Issue the command on the real drive, then refresh the cache from
         what the platter now provably holds."""
-        result = DiskDrive.transfer(
-            self,
-            address,
-            header=commands["header"],
-            label=commands["label"],
-            value=commands["value"],
-        )
+        result = DiskDrive._command(self, address, parts)
         if self.cache_sectors > 0:
-            self._install(address, commands, result)
+            self._install(address, parts, result)
         return result
 
     # ------------------------------------------------------------------------
     # Write-back: ordinary data writes
     # ------------------------------------------------------------------------
 
-    def _deferred_write(self, address: int, commands: dict) -> TransferResult:
+    def _deferred_write(self, address: int, parts) -> TransferResult:
         """The section 3.3 single-pass guarded data write, buffered.
 
         The label check runs now, in memory, against the cached label; the
@@ -236,19 +238,18 @@ class CachedDrive(DiskDrive):
         ):
             # Cold (or suspect) sector: the first write costs the same
             # guarded pass it would cost uncached, and warms the cache.
-            return self._pass_through(address, commands)
+            return self._pass_through(address, parts)
         self._touch(address)
         result = TransferResult()
-        label_cmd = commands["label"]
-        if label_cmd.action is Action.CHECK:
+        *label_part, (_, _, data) = parts  # no header; the label, if any
+        if label_part and label_part[0][1] is Action.CHECK:
             try:
-                result.label = self._check_part(address, "label", label_cmd.data, entry.label)
+                result.label = self._check_part(address, "label", label_part[0][2], entry.label)
             except (LabelCheckError, CheckError):
                 if entry.dirty:
                     raise  # buffered data under a label we no longer trust
                 self._drop(address)  # the cache was the stale hint; ask the platter
-                return self._pass_through(address, commands)
-        data = commands["value"].data
+                return self._pass_through(address, parts)
         if len(data) != VALUE_WORDS:
             raise ValueError(f"value write buffer must be {VALUE_WORDS} words")
         entry.value = list(data)
@@ -266,8 +267,8 @@ class CachedDrive(DiskDrive):
     # Reads and checks
     # ------------------------------------------------------------------------
 
-    def _read(self, address: int, commands: dict) -> TransferResult:
-        needed = [part for part in ("header", "label", "value") if commands[part].action is not Action.NONE]
+    def _read(self, address: int, parts) -> TransferResult:
+        needed = [part for part, _, _ in parts]
         entry = self._entries.get(address)
         servable = (
             entry is not None
@@ -281,23 +282,23 @@ class CachedDrive(DiskDrive):
                 # stale until the entry is written back.
                 self.flush_address(address)
             self.cache_stats.misses += 1
-            return self._pass_through(address, commands)
+            return self._pass_through(address, parts)
         self._require_uncrashed()
         self._touch(address)
         result = TransferResult()
-        for part in needed:
+        for part, action, data in parts:
             cached = getattr(entry, part)
-            if commands[part].action is Action.READ:
+            if action is Action.READ:
                 setattr(result, part, list(cached))
             else:  # CHECK, with the hardware's exact wildcard semantics
                 try:
-                    effective = self._check_part(address, part, commands[part].data, cached)
+                    effective = self._check_part(address, part, data, cached)
                 except (LabelCheckError, CheckError):
                     if entry.dirty:
                         raise
                     self._drop(address)
                     self.cache_stats.misses += 1
-                    return self._pass_through(address, commands)
+                    return self._pass_through(address, parts)
                 setattr(result, part, effective)
         self.cache_stats.hits += 1
         with self.clock.obs.span("disk.cache.hit", "disk",
@@ -334,12 +335,10 @@ class CachedDrive(DiskDrive):
         if entry is None or not entry.dirty:
             self.scheduler.discard(address)
             return
-        DiskDrive.transfer(
-            self,
-            address,
-            label=PartCommand(Action.CHECK, list(entry.label)),
-            value=PartCommand(Action.WRITE, list(entry.value)),
-        )
+        DiskDrive._command(self, address, (
+            ("label", Action.CHECK, list(entry.label)),
+            ("value", Action.WRITE, list(entry.value)),
+        ))
         entry.dirty = False
         self.scheduler.mark_serviced(address)
         self.cache_stats.flushes += 1
@@ -461,18 +460,17 @@ class CachedDrive(DiskDrive):
         self.cache_stats.overflows += 1
         return False
 
-    def _install(self, address: int, commands: dict, result: TransferResult) -> None:
+    def _install(self, address: int, parts, result: TransferResult) -> None:
         """Refresh the cache from a completed disk command: READ/CHECK
         parts from the transfer result, written parts from the platter."""
         entry = self._insert(address)
         wrote = False
-        for part in ("header", "label", "value"):
-            action = commands[part].action
-            if action in (Action.READ, Action.CHECK):
-                setattr(entry, part, list(getattr(result, part)))
-            elif action is Action.WRITE:
+        for part, action, _ in parts:
+            if action is Action.WRITE:
                 wrote = True
                 setattr(entry, part, self._platter_words(address, part))
+            else:
+                setattr(entry, part, list(getattr(result, part)))
         if wrote:
             entry.dirty = False
             self.scheduler.discard(address)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..clock import SimClock
 from ..obs import CounterAttr, MetricsRegistry
@@ -45,8 +45,6 @@ class Action(enum.Enum):
     WRITE = "write"
 
 
-#: Part names in the order they pass under the head.
-PART_ORDER = ("header", "label", "value")
 _PART_SIZES = {"header": HEADER_WORDS, "label": LABEL_WORDS, "value": VALUE_WORDS}
 
 
@@ -87,13 +85,9 @@ def merge_check(expected, disk_words):
     # reference's zip semantics (effective covers the common prefix).
     return list(disk_words[: len(expected)]), None
 
-def _parts_summary(commands: dict) -> str:
+def _parts_summary(parts) -> str:
     """Compact ``header:read,label:check`` form for span annotations."""
-    return ",".join(
-        f"{part}:{command.action.value}"
-        for part, command in commands.items()
-        if command.action is not Action.NONE
-    )
+    return ",".join(f"{part}:{action.value}" for part, action, _ in parts)
 
 
 #: Default bounded retry budget for transient read errors: a marginal read
@@ -114,8 +108,28 @@ class PartCommand:
             raise ValueError(f"{self.action.value} requires a data buffer")
 
 
-#: Shared default for parts a transfer does not touch (never mutated).
-_NO_ACTION = PartCommand()
+def _flatten_parts(header: Optional[PartCommand], label: Optional[PartCommand],
+                   value: Optional[PartCommand]) -> list:
+    """A per-part command as ``(part, action, data)`` triples.
+
+    Enforces "once a write is begun, it must continue through the rest of
+    the sector" and drops the parts with no action, leaving the triples in
+    head order -- the shape :meth:`DiskDrive._command` executes.
+    """
+    parts = []
+    writing = False
+    for part, command in (("header", header), ("label", label), ("value", value)):
+        action = Action.NONE if command is None else command.action
+        if writing and action is not Action.WRITE:
+            raise ValueError(
+                f"write begun before {part} must continue: {part} may not be {action.value}"
+            )
+        if action is Action.WRITE:
+            writing = True
+        if action is not Action.NONE:
+            parts.append((part, action, command.data))
+    return parts
+
 
 #: Static (part, action, data) shapes for the read-only convenience
 #: commands (READ carries no buffer, so these are fully constant).
@@ -129,9 +143,6 @@ _READ_LABEL_VALUE_PARTS = (
     ("label", Action.READ, None),
     ("value", Action.READ, None),
 )
-
-#: Shared READ command (a READ carries no buffer and is never mutated).
-_READ_CMD = PartCommand(Action.READ)
 
 
 @dataclass(slots=True)
@@ -201,17 +212,11 @@ class DiskDrive:
         self.stats = DriveStats(parent=self.clock.obs.registry)
         self.fault_injector = fault_injector
         self.max_read_retries = max_read_retries
-        #: Optional observer (see :class:`repro.disk.trace.DiskTrace`).
-        self.trace = None
         #: Optional durability observer: called as ``tap(address, part, data)``
         #: after every part-write lands on the platter (never for torn
         #: writes -- the injector raises before the tap).  This is the
         #: replication journal's capture point (:mod:`repro.server.replica`).
         self.journal_tap = None
-        # Direct references to the stats counters: the per-command hot path
-        # increments these a few times per sector and must not re-run the
-        # descriptor-protocol read-modify-write of ``stats.x += 1``.  Both
-        # routes mutate the same Counter objects (and their mirrors).
         # True when this instance uses the base per-part implementations,
         # letting _process_parts read sector storage without the method
         # dispatch.  Any override (ReferenceDrive's word-at-a-time loops)
@@ -222,6 +227,9 @@ class DiskDrive:
             and cls._check_part is DiskDrive._check_part
             and cls._write_part is DiskDrive._write_part
         )
+        # Direct references to the stats counters: the per-command hot path
+        # increments these a few times per sector and must not re-run the
+        # descriptor-protocol read-modify-write of ``stats.x += 1``.
         registry = self.stats.registry
         self._c_commands = registry.counter("disk.drive.commands")
         self._c_label_checks = registry.counter("disk.drive.label_checks")
@@ -247,7 +255,12 @@ class DiskDrive:
         label: PartCommand = None,
         value: PartCommand = None,
     ) -> TransferResult:
-        """Execute one sector command.
+        """Execute one sector command, given as one :class:`PartCommand` per
+        part (omitted parts take no action).
+
+        This is the public per-part interface (the scavenger and compactor
+        use it); the convenience commands below are fixed shapes of it and
+        reach the same :meth:`_command` without the packaging.
 
         Positions the arm and head (charging seek + rotation), then processes
         header, label, and value in passing order, charging one sector time.
@@ -264,45 +277,28 @@ class DiskDrive:
         Past the budget, :class:`~repro.errors.ReadRetriesExhausted` surfaces
         to the caller with the last transient error chained.
         """
-        # Validate continuation and flatten to (part, action, data) triples
-        # in one pass; the dict of PartCommands is only materialized for the
-        # observed paths (trace, span, fault injector) that take it.
-        parts = []
-        writing = False
-        for part, command in (("header", header), ("label", label), ("value", value)):
-            action = Action.NONE if command is None else command.action
-            if writing and action is not Action.WRITE:
-                raise ValueError(
-                    f"write begun before {part} must continue: {part} may not be {action.value}"
-                )
-            if action is Action.WRITE:
-                writing = True
-            if action is not Action.NONE:
-                parts.append((part, action, command.data))
+        return DiskDrive._command(self, address,
+                                  _flatten_parts(header, label, value))
+
+    def _command(self, address: int, parts) -> TransferResult:
+        """Every sector command's one entry: *parts* are ``(part, action,
+        data)`` triples in head order, write continuation already holding
+        (the convenience commands' static shapes, or :meth:`transfer`'s
+        flattened parts).  Validates the address, then runs the command --
+        inside a ``disk.transfer`` span when tracing."""
         self.shape.check_address(address)
-
         obs = self.clock.obs
-        if obs.tracing or self.trace is not None:
-            commands = {
-                "header": header if header is not None else _NO_ACTION,
-                "label": label if label is not None else _NO_ACTION,
-                "value": value if value is not None else _NO_ACTION,
-            }
-            if obs.tracing:
-                with obs.span("disk.transfer", "disk", address=address,
-                              cylinder=self.shape.decompose(address)[0],
-                              parts=_parts_summary(commands)):
-                    return self._execute(address, parts, commands)
-            return self._execute(address, parts, commands)
-        return self._execute(address, parts, None)
+        if obs.tracing:
+            with obs.span("disk.transfer", "disk", address=address,
+                          cylinder=self.shape.decompose(address)[0],
+                          parts=_parts_summary(parts)):
+                return self._execute(address, parts)
+        return self._execute(address, parts)
 
-    def _execute(self, address: int, parts: list,
-                 commands: Optional[dict] = None) -> TransferResult:
-        """The transfer body, after validation (span-wrapped when tracing)."""
+    def _execute(self, address: int, parts) -> TransferResult:
+        """The command body, after validation (span-wrapped when tracing)."""
         self._c_commands.inc(1)
         self.timer.position_and_transfer(address)
-        if self.trace is not None:
-            self.trace.record(self, address, commands)
 
         if address in self.image.bad_media:
             raise BadSectorError(f"unrecoverable media error at address {address}")
@@ -321,11 +317,11 @@ class DiskDrive:
                 self._c_read_retries.inc(1)
                 self._retry_backoff(attempt)
 
-    def _process_parts(self, address: int, parts: list) -> TransferResult:
+    def _process_parts(self, address: int, parts) -> TransferResult:
         """One pass over the sector: parts in head order."""
         injector = self.fault_injector
         hook = getattr(injector, "before_part", None) if injector is not None else None
-        # transfer() validated the address before any time was charged;
+        # _command() validated the address before any time was charged;
         # index the platter directly rather than re-validating per pass.
         sector = self.image._sectors[address]
         if sector is None:
@@ -381,20 +377,6 @@ class DiskDrive:
 
     # -- helpers ------------------------------------------------------------
 
-    @staticmethod
-    def _validate_write_continuation(commands: dict) -> None:
-        """Enforce "once a write is begun, it must continue through the rest
-        of the sector"."""
-        writing = False
-        for part in PART_ORDER:
-            action = commands[part].action
-            if writing and action is not Action.WRITE:
-                raise ValueError(
-                    f"write begun before {part} must continue: {part} may not be {action.value}"
-                )
-            if action is Action.WRITE:
-                writing = True
-
     def _get_part(self, sector: Sector, part: str) -> List[int]:
         """The part's packed words, straight from the sector's storage.
 
@@ -449,85 +431,47 @@ class DiskDrive:
     # Convenience commands (each is exactly one hardware command)
     # ------------------------------------------------------------------------
     #
-    # Each shapes a statically valid command (write-continuation holds by
-    # construction), so on a plain DiskDrive with neither a tracer nor an
-    # active span collection the PartCommand packaging and transfer()
-    # re-validation add nothing: address check + _execute is the identical
-    # computation.  A fault injector rides the direct route too -- it
-    # observes the flattened (part, action, data) triples, which the
-    # static shapes below already are.  Subclasses (CachedDrive intercepts
-    # transfer; ReferenceDrive replays the slow loops) and traced drives
-    # always take the full route.
-
-    def _direct(self) -> bool:
-        return (type(self) is DiskDrive
-                and self.trace is None and not self.clock.obs.tracing)
+    # Each hands a statically valid shape (write-continuation holds by
+    # construction) to _command, the same entry transfer() reaches after
+    # flattening its PartCommands; tests/equivalence/test_command_route.py
+    # pins every command to its transfer() form.
 
     def read_sector(self, address: int) -> TransferResult:
         """Read header, label, and value in one pass."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, _READ_ALL_PARTS)
-        return self.transfer(
-            address, header=_READ_CMD, label=_READ_CMD, value=_READ_CMD
-        )
+        return self._command(address, _READ_ALL_PARTS)
 
     def read_label(self, address: int) -> Label:
         """Read just the label (the scavenger's sweep primitive)."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, _READ_LABEL_PARTS).label_object()
-        return self.transfer(address, label=_READ_CMD).label_object()
+        return self._command(address, _READ_LABEL_PARTS).label_object()
 
     def read_label_value(self, address: int) -> TransferResult:
         """Read the label and value in one pass (the sweep's per-sector
         command: both ride the same revolution, section 3.5)."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, _READ_LABEL_VALUE_PARTS)
-        return self.transfer(address, label=_READ_CMD, value=_READ_CMD)
+        return self._command(address, _READ_LABEL_VALUE_PARTS)
 
     def check_label(self, address: int, expected: Label) -> TransferResult:
         """Check just the label; the result's label buffer has the pattern's
         0-wildcards replaced by the disk words (the first pass of the
         change-length sequence)."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, (("label", Action.CHECK, expected.pack()),))
-        return self.transfer(address, label=PartCommand(Action.CHECK, expected.pack()))
+        return self._command(address, (("label", Action.CHECK, expected.pack()),))
 
     def write_label_value(self, address: int, label: Label, value: Sequence[int]) -> None:
         """Write the label and value with no preceding check (the second
         pass of the change-length sequence; the first pass did the check)."""
-        if self._direct():
-            self.shape.check_address(address)
-            self._execute(address, (
-                ("label", Action.WRITE, label.pack()),
-                ("value", Action.WRITE, value),
-            ))
-            return
-        self.transfer(
-            address,
-            label=PartCommand(Action.WRITE, label.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
-        )
+        self._command(address, (
+            ("label", Action.WRITE, label.pack()),
+            ("value", Action.WRITE, value),
+        ))
 
     def check_label_read_value(self, address: int, expected: Label) -> TransferResult:
         """Ordinary page read: confirm identity, then take the data.
 
         One pass; raises :class:`LabelCheckError` when the hint is stale.
         """
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, (
-                ("label", Action.CHECK, expected.pack()),
-                ("value", Action.READ, None),
-            ))
-        return self.transfer(
-            address,
-            label=PartCommand(Action.CHECK, expected.pack()),
-            value=PartCommand(Action.READ),
-        )
+        return self._command(address, (
+            ("label", Action.CHECK, expected.pack()),
+            ("value", Action.READ, None),
+        ))
 
     def check_label_write_value(
         self, address: int, expected: Label, value: Sequence[int]
@@ -535,17 +479,10 @@ class DiskDrive:
         """Ordinary page write: "On any other write the label is checked, at
         no cost in time" (section 3.3).  One pass; aborts before writing when
         the check fails."""
-        if self._direct():
-            self.shape.check_address(address)
-            return self._execute(address, (
-                ("label", Action.CHECK, expected.pack()),
-                ("value", Action.WRITE, value),
-            ))
-        return self.transfer(
-            address,
-            label=PartCommand(Action.CHECK, expected.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
-        )
+        return self._command(address, (
+            ("label", Action.CHECK, expected.pack()),
+            ("value", Action.WRITE, value),
+        ))
 
     def check_label_then_rewrite(
         self,
@@ -563,25 +500,15 @@ class DiskDrive:
         scheme costs a disk revolution each time a page is allocated or
         freed").
         """
-        if self._direct():
-            self.shape.check_address(address)
-            self._execute(address, (("label", Action.CHECK, expected.pack()),))
-            self._execute(address, (
-                ("label", Action.WRITE, new_label.pack()),
-                # Once a write begins it must continue through the sector,
-                # so a label rewrite alone still rewrites the value with its
-                # current contents (the hardware streams it back out).
-                ("value", Action.WRITE,
-                 value if value is not None else self.current_value(address)),
-            ))
-            return
-        self.transfer(address, label=PartCommand(Action.CHECK, expected.pack()))
-        parts = {"label": PartCommand(Action.WRITE, new_label.pack())}
-        if value is not None:
-            parts["value"] = PartCommand(Action.WRITE, list(value))
-        else:
-            parts["value"] = PartCommand(Action.WRITE, self.current_value(address))
-        self.transfer(address, **parts)
+        self._command(address, (("label", Action.CHECK, expected.pack()),))
+        self._command(address, (
+            ("label", Action.WRITE, new_label.pack()),
+            # Once a write begins it must continue through the sector, so a
+            # label rewrite alone still rewrites the value with its current
+            # contents (the hardware streams it back out).
+            ("value", Action.WRITE,
+             value if value is not None else self.current_value(address)),
+        ))
 
     def current_value(self, address: int) -> List[int]:
         """The logically current data words of *address* -- what a value
@@ -596,17 +523,8 @@ class DiskDrive:
     ) -> None:
         """Full sector format (used only by pack formatting and the
         compacting scavenger, which owns the whole disk)."""
-        if self._direct():
-            self.shape.check_address(address)
-            self._execute(address, (
-                ("header", Action.WRITE, header.pack()),
-                ("label", Action.WRITE, label.pack()),
-                ("value", Action.WRITE, value),
-            ))
-            return
-        self.transfer(
-            address,
-            header=PartCommand(Action.WRITE, header.pack()),
-            label=PartCommand(Action.WRITE, label.pack()),
-            value=PartCommand(Action.WRITE, list(value)),
-        )
+        self._command(address, (
+            ("header", Action.WRITE, header.pack()),
+            ("label", Action.WRITE, label.pack()),
+            ("value", Action.WRITE, value),
+        ))

@@ -26,7 +26,27 @@ from ..errors import PowerFailure, TornWriteError, TransientReadError
 from ..words import WORD_MASK
 from .image import DiskImage
 from .sector import Label
-from .trace import check_point, point_name
+
+#: Named crash points: one per (part, action) pair the drive can perform.
+#: A plan addresses a crash point by name, e.g. ``"label:write"`` = the
+#: moment a label write reaches the head.
+TRACE_POINTS = tuple(
+    f"{part}:{action}"
+    for part in ("header", "label", "value")
+    for action in ("read", "check", "write")
+)
+
+
+def point_name(part: str, action: str) -> str:
+    """The canonical crash-point name for one part action."""
+    return f"{part}:{action}"
+
+
+def check_point(name: str) -> str:
+    """Validate a crash-point name; returns it unchanged or raises."""
+    if name not in TRACE_POINTS:
+        raise ValueError(f"unknown trace point {name!r}; one of {', '.join(TRACE_POINTS)}")
+    return name
 
 
 class FaultInjector:
@@ -196,8 +216,8 @@ class FaultPlan(FaultInjector):
       write N and everything after did not);
     * :meth:`tear_at_write` -- the Nth part-write lands *torn* (a prefix of
       new words, then garbage), then the machine dies;
-    * :meth:`crash_at_point` -- die at the Kth passage of a named trace
-      point from :mod:`repro.disk.trace` (e.g. ``"label:write"``);
+    * :meth:`crash_at_point` -- die at the Kth passage of a named crash
+      point from :data:`TRACE_POINTS` (e.g. ``"label:write"``);
     * :meth:`tear_between_label_and_value` -- in a command that writes both
       label and value, complete the label write and die before the value
       write: the on-disk identity is new, the data is old.

@@ -76,6 +76,16 @@ DEFAULT_MAX_RETRIES = 8
 DEFAULT_POLL_INTERVAL_US = 1_000
 
 
+def page_chunks(data: bytes) -> List[Tuple[int, bytes]]:
+    """The upload schedule: ``(page, bytes)`` for every full page, then the
+    (possibly empty) tail page, mirroring ``AltoFile.write_data``."""
+    n_full = len(data) // FULL_PAGE
+    chunks = [(page, data[(page - 1) * FULL_PAGE: page * FULL_PAGE])
+              for page in range(1, n_full + 1)]
+    chunks.append((n_full + 1, data[n_full * FULL_PAGE:]))
+    return chunks
+
+
 class PendingRequest:
     """One in-flight request: its packets and retry state."""
 
@@ -355,12 +365,8 @@ class FileClient:
         """
         handle, size = self.open(name, create=True)
         try:
-            n_full = len(data) // FULL_PAGE
-            for page in range(1, n_full + 1):
-                chunk = data[(page - 1) * FULL_PAGE: page * FULL_PAGE]
+            for page, chunk in page_chunks(data):
                 self.transact(self.build_write(handle, page, chunk))
-            self.transact(self.build_write(
-                handle, n_full + 1, data[n_full * FULL_PAGE:]))
             return len(data)
         finally:
             self.close(handle)

@@ -52,13 +52,13 @@ from ..disk.drive import DiskDrive
 from ..disk.faults import CrashReport, CrashScenario, PlanFactory
 from ..disk.geometry import tiny_test_disk
 from ..disk.image import DiskImage
-from ..fs.file import FULL_PAGE
 from ..fs.filesystem import FileSystem
 from ..fs.fsck import check_image
 from ..fs.online import ONLINE_TOLERATED_ISSUES, OnlineMaintenance
 from ..net.network import PacketNetwork
 from ..words import words_to_bytes
-from .client import DEFAULT_POLL_INTERVAL_US, FileClient, PendingRequest
+from .client import (DEFAULT_POLL_INTERVAL_US, FileClient, PendingRequest,
+                     page_chunks)
 from .replica import ReplicaStandby, ReplicatedFileServer, promote
 from .router import ShardRouter
 
@@ -190,15 +190,6 @@ def workload_files(seed: int) -> List[Tuple[str, bytes]]:
     return files
 
 
-def _page_chunks(data: bytes) -> List[Tuple[int, bytes]]:
-    """The upload schedule: full pages, then the (possibly empty) tail."""
-    n_full = len(data) // FULL_PAGE
-    chunks = [(page, data[(page - 1) * FULL_PAGE: page * FULL_PAGE])
-              for page in range(1, n_full + 1)]
-    chunks.append((n_full + 1, data[n_full * FULL_PAGE:]))
-    return chunks
-
-
 # ----------------------------------------------------------------------------
 # The drill
 # ----------------------------------------------------------------------------
@@ -228,7 +219,7 @@ class FailoverScenario(CrashScenario):
         lab.primary.replication.bootstrap()
         for name, data in lab.files:
             handle, _ = client.open(name, create=True)
-            for page, chunk in _page_chunks(data):
+            for page, chunk in page_chunks(data):
                 # Keep the pending request: the drill reuses its packets
                 # as the at-most-once probe.
                 pending = client.submit(client.build_write(handle, page, chunk))
@@ -259,7 +250,7 @@ class FailoverScenario(CrashScenario):
             # page writes make re-execution of unacknowledged work safe),
             # then finish the remaining files.
             for name, data in lab.files[self.progress:]:
-                _upload(lab.client, name, data)
+                lab.client.write_file(name, data)
         _verify_readback(lab, report)
         _verify_pack(lab, report)
         return report
@@ -272,13 +263,6 @@ class FailoverScenario(CrashScenario):
         return (f"{result.points_tested}/{result.total_writes} failover crash "
                 f"points swept ({fired} fired): {verdict}; worst promotion "
                 f"{worst / 1000:.1f}ms")
-
-
-def _upload(client: FileClient, name: str, data: bytes) -> None:
-    handle, _ = client.open(name, create=True)
-    for page, chunk in _page_chunks(data):
-        client.transact(client.build_write(handle, page, chunk))
-    client.close(handle)
 
 
 def _verify_acked(fs: FileSystem, acked: Dict[Tuple[str, int], bytes],

@@ -165,7 +165,6 @@ def ship_names(source_fs: FileSystem, target_fs: FileSystem,
         target_fs.flush()
         # 3-5. expose, retire, clean -- identical to the roll-forward path.
         _finish_shipment(source_fs, target_fs, shipment)
-    obs.counter("router.rebalances").inc()
     return shipment
 
 

@@ -75,7 +75,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..clock import SimClock
 from ..errors import ReproError, ServerError
 from ..net.network import Packet, PacketNetwork
-from ..obs import CounterAttr
 from .engine import FileServer
 from .protocol import (
     OP_CLOSE,
@@ -133,23 +132,6 @@ class _InFlight:
     @property
     def key(self) -> Tuple[str, int]:
         return self.session.client, self.request.request_id
-
-
-class RouterStats:
-    """The router's rebalance/rewrite tallies as a CounterAttr view.
-
-    Same idiom as ``DriveStats``: attribute reads and ``+=`` writes go
-    straight to counters in the router clock's registry, so the numbers
-    show up in ``obs.stats()`` / ``python -m repro stats`` without any
-    as-dict plumbing here.
-    """
-
-    rewrites = CounterAttr("router.rewrites")
-    rebalances = CounterAttr("router.rebalances")
-    shipped_names = CounterAttr("router.shipped_names")
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
 
 
 def merge_names(name_sets) -> List[str]:
@@ -247,8 +229,10 @@ class ShardRouter:
         self._c_stale = registry.counter("router.stale")
         self._c_errors = registry.counter("router.errors")
         self._c_shards_skipped = registry.counter("router.shards_skipped")
+        self._c_rewrites = registry.counter("router.rewrites")
+        self._c_rebalances = registry.counter("router.rebalances")
+        self._c_shipped_names = registry.counter("router.shipped_names")
         self._g_pending = registry.gauge("router.pending")
-        self.router_stats = RouterStats(registry)
         #: Scatter-gather fan-out sizes and per-request shard round trips
         #: (forward to final shard response, timestamped on the producing
         #: shard's link clock; the client-facing relay itself is charged
@@ -505,11 +489,11 @@ class ShardRouter:
             return response
         op = ctx.request.op
         if op == OP_OPEN:
-            self.router_stats.rewrites += 1
+            self._c_rewrites.inc()
             return replace(response, handle=ctx.session.grant(
                 (shard, response.handle), ctx.name))
         if op in (OP_READ, OP_WRITE):
-            self.router_stats.rewrites += 1
+            self._c_rewrites.inc()
             return replace(response, handle=ctx.request.handle)
         if op == OP_CLOSE:
             ctx.session.release(ctx.request.handle)
@@ -610,8 +594,8 @@ class ShardRouter:
             ship_names(source_fs, target_fs, names, plan.slot,
                        plan.source, plan.target)
         self.shard_map.apply(plan)
-        self.router_stats.rebalances += 1
-        self.router_stats.shipped_names += len(names)
+        self._c_rebalances.inc()
+        self._c_shipped_names.inc(len(names))
         self._rebalance = None
 
     # ------------------------------------------------------------------------

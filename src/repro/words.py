@@ -8,11 +8,11 @@ byte packing (two bytes per word, big-endian within the word as on the Alto),
 and BCPL-style string coding.
 
 The packing and checksum hot loops run as *bulk operations*
-(``array('H')``/``int.from_bytes``-class primitives, optionally numpy via
-:mod:`repro.fastpath` for large buffers).  The original word-at-a-time
-forms survive in :mod:`repro.reference`, and ``tests/equivalence/``
-asserts fast == reference on arbitrary inputs; see ARCHITECTURE.md,
-"Fast paths and the differential harness".
+(``array('H')``/``int.from_bytes``-class primitives; :func:`random_bytes`
+also uses numpy via :mod:`repro.fastpath` when it is installed).  The
+original word-at-a-time forms survive in :mod:`repro.reference`, and
+``tests/equivalence/`` asserts fast == reference on arbitrary inputs; see
+ARCHITECTURE.md, "Fast paths and the differential harness".
 """
 
 from __future__ import annotations
@@ -26,12 +26,6 @@ from . import fastpath
 #: Host byte order: the wire/disk order is big-endian within each word, so
 #: a little-endian host byteswaps the C array in one C call.
 _LITTLE_ENDIAN = sys.byteorder == "little"
-
-#: Below this many words/bytes the ``array`` path wins; above it numpy
-#: (when available) is worth its per-call overhead.  The value is not
-#: semantically meaningful -- both branches are exact and equivalence-
-#: tested -- it only picks the faster of two identical answers.
-_NUMPY_MIN_ITEMS = 2048
 
 WORD_BITS = 16
 WORD_MASK = 0xFFFF
@@ -99,13 +93,6 @@ def bytes_to_words(data: bytes, pad: int = 0) -> List[int]:
     n = len(data)
     even = n & ~1
     try:
-        if n >= _NUMPY_MIN_ITEMS:
-            np = fastpath.numpy()
-            if np is not None:
-                words = np.frombuffer(data, dtype=">u2", count=even >> 1).tolist()
-                if n & 1:
-                    words.append((data[-1] << 8) | (pad & 0xFF))
-                return words
         packed = array("H")
         packed.frombytes(data if not n & 1 else memoryview(data)[:even])
         if _LITTLE_ENDIAN:
@@ -139,11 +126,6 @@ def words_to_bytes(words: Sequence[int], nbytes: int = -1) -> bytes:
     if nbytes > 2 * len(words):
         raise ValueError(f"asked for {nbytes} bytes from {2 * len(words)} available")
     try:
-        if len(words) >= _NUMPY_MIN_ITEMS:
-            np = fastpath.numpy()
-            if np is not None:
-                out = np.asarray(words, dtype=">u2").tobytes()
-                return out if nbytes == -1 else out[:nbytes]
         packed = array("H", words)
         if _LITTLE_ENDIAN:
             packed.byteswap()

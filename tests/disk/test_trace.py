@@ -1,94 +1,93 @@
-"""Tests for the disk-activity trace."""
+"""Every sector command records one ``disk.transfer`` span; the arm's
+access pattern, read off those spans."""
 
 import pytest
 
-from repro.disk import DiskDrive, DiskImage, DiskTrace, Label, tiny_test_disk, value_words
+from repro.disk import DiskDrive, DiskImage, Label, tiny_test_disk, value_words
 from repro.fs import FileSystem
+
+
+def transfers(drive):
+    """The ``disk.transfer`` spans recorded so far: one per sector command."""
+    return drive.clock.obs.tracer.find("disk.transfer")
+
+
+def traced_addresses(drive):
+    """Turn span collection on; returns a function listing the addresses
+    of every sector command the drive has run since."""
+    drive.clock.obs.enable_tracing()
+    return lambda: [span.args["address"] for span in transfers(drive)]
 
 
 @pytest.fixture
 def traced():
     drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=20)))
-    trace = DiskTrace().attach(drive)
-    return drive, trace
+    drive.clock.obs.enable_tracing()
+    return drive
 
 
 def in_use(page=1):
     return Label(serial=0x4000_0001, version=1, page_number=page, length=0)
 
 
+def sequentiality(addresses):
+    """Fraction of consecutive commands hitting address+1 -- 1.0 for a
+    perfect sweep, ~0.0 for random access."""
+    if len(addresses) < 2:
+        return 1.0
+    hits = sum(1 for previous, current in zip(addresses, addresses[1:])
+               if current == previous + 1)
+    return hits / (len(addresses) - 1)
+
+
 class TestRecording:
     def test_records_commands(self, traced):
-        drive, trace = traced
-        drive.read_sector(0)
-        drive.read_label(5)
-        assert len(trace) == 2
-        assert trace.records[0].address == 0
-        assert trace.records[1].did("label", "read")
-        assert not trace.records[1].did("value", "read")
+        traced.read_sector(0)
+        traced.read_label(5)
+        spans = transfers(traced)
+        assert [span.args["address"] for span in spans] == [0, 5]
+        assert spans[1].args["parts"] == "label:read"
 
     def test_records_part_actions(self, traced):
-        drive, trace = traced
-        drive.check_label_then_rewrite(4, Label.free(), in_use(), value_words([]))
-        by = trace.commands_by_part_action()
-        assert by[("label", "check")] == 1
-        assert by[("label", "write")] == 1
-        assert by[("value", "write")] == 1
+        traced.check_label_then_rewrite(4, Label.free(), in_use(), value_words([]))
+        assert [span.args["parts"] for span in transfers(traced)] == [
+            "label:check", "label:write,value:write"]
 
     def test_timing_is_unchanged_by_tracing(self):
         plain = DiskDrive(DiskImage(tiny_test_disk(cylinders=20)))
         traced_drive = DiskDrive(DiskImage(tiny_test_disk(cylinders=20)))
-        DiskTrace().attach(traced_drive)
+        traced_drive.clock.obs.enable_tracing()
         for drive in (plain, traced_drive):
             for address in (0, 30, 7, 200):
                 drive.read_sector(address)
         assert plain.clock.now_us == traced_drive.clock.now_us
-
-    def test_detach_and_clear(self, traced):
-        drive, trace = traced
-        drive.read_sector(0)
-        DiskTrace.detach(drive)
-        drive.read_sector(1)
-        assert len(trace) == 1
-        trace.clear()
-        assert len(trace) == 0
+        assert len(transfers(traced_drive)) == 4
 
 
 class TestSummaries:
     def test_arm_travel_and_seeks(self, traced):
-        drive, trace = traced
-        per_cyl = drive.shape.sectors_per_cylinder()
-        drive.read_sector(0)                # cylinder 0
-        drive.read_sector(5 * per_cyl)      # cylinder 5
-        drive.read_sector(2 * per_cyl)      # cylinder 2
-        assert trace.seek_count() == 2
-        assert trace.arm_travel() == 8
+        per_cyl = traced.shape.sectors_per_cylinder()
+        traced.read_sector(0)                # cylinder 0
+        traced.read_sector(5 * per_cyl)      # cylinder 5
+        traced.read_sector(2 * per_cyl)      # cylinder 2
+        cylinders = [span.args["cylinder"] for span in transfers(traced)]
+        moves = [abs(b - a) for a, b in zip(cylinders, cylinders[1:])]
+        assert sum(1 for move in moves if move) == 2
+        assert sum(moves) == 8
 
     def test_sequentiality(self, traced):
-        drive, trace = traced
         for address in range(10):
-            drive.read_sector(address)
-        assert trace.sequentiality() == 1.0
-        drive.read_sector(100)
-        assert trace.sequentiality() < 1.0
-
-    def test_hottest_addresses(self, traced):
-        drive, trace = traced
-        for _ in range(3):
-            drive.read_sector(7)
-        drive.read_sector(2)
-        assert trace.hottest_addresses(1) == [(7, 4 - 1)]
-
-    def test_summary_text(self, traced):
-        drive, trace = traced
-        drive.read_sector(0)
-        text = trace.summary()
-        assert "1 commands" in text and "sequentiality" in text
+            traced.read_sector(address)
+        addresses = [span.args["address"] for span in transfers(traced)]
+        assert sequentiality(addresses) == 1.0
+        traced.read_sector(100)
+        addresses = [span.args["address"] for span in transfers(traced)]
+        assert sequentiality(addresses) < 1.0
 
 
 class TestTraceOnRealWorkloads:
     def test_scavenge_sweep_is_sequential(self):
-        """The trace confirms the sweep's physical-order access pattern."""
+        """The spans confirm the sweep's physical-order access pattern."""
         from repro.fs import Scavenger
 
         image = DiskImage(tiny_test_disk(cylinders=20))
@@ -96,12 +95,11 @@ class TestTraceOnRealWorkloads:
         fs.create_file("a.dat").write_data(b"z" * 2000)
         fs.sync()
         drive = DiskDrive(image)
-        trace = DiskTrace().attach(drive)
+        addresses = traced_addresses(drive)
         Scavenger(drive).scavenge()
-        sweep = trace.records[: image.shape.total_sectors()]
-        addresses = [r.address for r in sweep]
-        assert addresses == sorted(addresses)
-        assert trace.sequentiality() > 0.8
+        sweep = addresses()[: image.shape.total_sectors()]
+        assert sweep == sorted(sweep)
+        assert sequentiality(addresses()) > 0.8
 
     def test_scattered_vs_compacted_read_patterns(self):
         from repro.fs import Compactor
@@ -111,6 +109,6 @@ class TestTraceOnRealWorkloads:
         fs.create_file("seq.dat").write_data(b"q" * 4000)
         Compactor(fs.drive).compact()
         fs2 = FileSystem.mount(DiskDrive(image))
-        trace = DiskTrace().attach(fs2.drive)
+        addresses = traced_addresses(fs2.drive)
         fs2.open_file("seq.dat").read_data()
-        assert trace.sequentiality() > 0.5  # consecutive pages, few jumps
+        assert sequentiality(addresses()) > 0.5  # consecutive pages, few jumps

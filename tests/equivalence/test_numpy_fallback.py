@@ -27,7 +27,6 @@ from repro.words import (
     random_bytes,
     words_to_bytes,
 )
-from repro.words import _NUMPY_MIN_ITEMS
 
 
 @pytest.fixture
@@ -51,11 +50,11 @@ def test_gate_degrades_cleanly(numpy_hidden):
 def test_equivalence_holds_without_numpy(numpy_hidden):
     """The full word-substrate equivalence slice, import genuinely failing.
 
-    Sizes above ``_NUMPY_MIN_ITEMS`` matter most: those are the calls that
-    would have taken the numpy branch and now must fall through.
+    Large sizes ride along with the small ones: world-swap state files pack
+    thousands of words at a time.
     """
     rng = random.Random(41)
-    for n in (0, 1, 7, _NUMPY_MIN_ITEMS - 1, _NUMPY_MIN_ITEMS, _NUMPY_MIN_ITEMS + 9):
+    for n in (0, 1, 7, 2047, 2048, 2057):
         data = [rng.randrange(WORD_MASK + 1) for _ in range(n)]
         assert checksum(data) == checksum_reference(data)
         assert words_to_bytes(data) == words_to_bytes_reference(data)

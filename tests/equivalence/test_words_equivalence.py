@@ -2,8 +2,9 @@
 
 Hypothesis drives arbitrary inputs through each bulk operation and its
 word-at-a-time twin from :mod:`repro.reference`; deterministic cases pin
-the sizes that straddle the numpy threshold (``_NUMPY_MIN_ITEMS``), where
-the bulk implementation switches strategies mid-function.
+the sizes where a bulk implementation switches strategies mid-function
+(``random_bytes`` at 128 bytes) and large buffers the size of world-swap
+state files.
 """
 
 import random
@@ -25,7 +26,6 @@ from repro.words import (
     random_bytes,
     words_to_bytes,
 )
-from repro.words import _NUMPY_MIN_ITEMS
 from repro.disk.drive import merge_check
 
 #: The numpy_mode fixture just toggles a global flag -- identical for
@@ -34,10 +34,13 @@ eq_settings = settings(suppress_health_check=[HealthCheck.function_scoped_fixtur
 
 words_lists = st.lists(st.integers(min_value=0, max_value=WORD_MASK), max_size=600)
 
-#: Sizes that bracket every strategy switch inside the bulk paths.
+#: A large buffer: world-swap state files run to thousands of words.
+LARGE = 2048
+
+#: Sizes that bracket every strategy switch inside the bulk paths, plus
+#: large buffers.
 THRESHOLD_SIZES = [0, 1, 2, 3, 127, 128, 129,
-                   _NUMPY_MIN_ITEMS - 1, _NUMPY_MIN_ITEMS, _NUMPY_MIN_ITEMS + 1,
-                   2 * _NUMPY_MIN_ITEMS + 3]
+                   LARGE - 1, LARGE, LARGE + 1, 2 * LARGE + 3]
 
 
 class TestChecksum:
@@ -53,7 +56,7 @@ class TestChecksum:
             assert checksum(data) == checksum_reference(data)
 
     def test_all_word_mask(self, numpy_mode):
-        data = [WORD_MASK] * (_NUMPY_MIN_ITEMS + 5)
+        data = [WORD_MASK] * (LARGE + 5)
         assert checksum(data) == checksum_reference(data)
 
 

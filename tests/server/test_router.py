@@ -247,6 +247,24 @@ def test_rebalance_ships_a_slot_and_serving_continues():
     assert sorted(set(client.listdir())) == sorted(client.listdir())
 
 
+def test_one_rebalance_counts_once_in_the_cluster_snapshot():
+    """The merged view (what ``repro stats --serve --shards`` prints) sees
+    the router's one rebalance once, not again on the target shard."""
+    system = make_cluster(shards=2)
+    [client] = system.clients
+    names = [f"r{i}.dat" for i in range(6)]
+    for name in names:
+        client.write_file(name, name.encode() * 40)
+    name, _, target = pick_file_and_target(system, names)
+    slot = system.router.shard_map.slot_of(name)
+    moved = [n for n in names if system.router.shard_map.slot_of(n) == slot]
+    system.router.start_rebalance(slot, target)
+    system.router.poll()
+    for view in (system.router.stats(), system.stats()):
+        assert view["router.rebalances"] == 1
+        assert view["router.shipped_names"] == len(moved)
+
+
 def test_rebalance_waits_for_open_handles_and_pauses_new_opens():
     system = make_cluster(shards=2)
     [client] = system.clients
